@@ -3,10 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"simprof/internal/matrix"
 	"simprof/internal/obs"
 	"simprof/internal/parallel"
+	"simprof/internal/stats"
 )
 
 // Sweep telemetry: how long each k of the silhouette sweep costs and
@@ -20,9 +22,26 @@ var (
 	obsSweepSeconds = obs.NewHistogram("cluster.choosek_k_seconds",
 		"wall seconds per swept k (k-means restarts + silhouette)",
 		0.001, 0.01, 0.1, 1, 10)
+	obsSweepSampled = obs.NewCounter("cluster.sweep_sampled",
+		"ChooseK sweeps that ran on a subsample and refined on every point")
+	obsRefineIters = obs.NewHistogram("cluster.refine_iters",
+		"Lloyd iterations of the all-points refine after a subsampled sweep",
+		1, 2, 4, 8, 16, 32, 64)
 )
 
+// sweepSampleRows caps the rows the k sweep runs on. Larger inputs
+// sweep a uniform subsample of this many rows and refine the chosen
+// clustering once on every row (see ChooseKDense and DESIGN.md §18).
+// It only ever changes in tests, which use it to force the exact path.
+var sweepSampleRows = 4096
+
+// sweepSampleStream labels the subsample draw's seed, derived from
+// KMeans.Seed apart from the per-k and per-restart seeds.
+const sweepSampleStream = 0x5eed5a3b1e
+
 // KSelection records the outcome of the k sweep used by phase formation.
+// Above the sweep's subsample cap the scores are silhouettes of the
+// subsample's clusterings; Best always covers every input row.
 type KSelection struct {
 	K           int       // chosen number of clusters
 	Best        Result    // clustering at the chosen k
@@ -93,12 +112,55 @@ func ChooseK(points [][]float64, opts ChooseKOptions) (KSelection, error) {
 // pre-derived from the base seed, its result lands in its own slot), so
 // the sweep fans out across the worker pool while remaining
 // deterministic.
+//
+// Above sweepSampleRows rows the sweep runs in two phases: the exact
+// sweep on a uniform subsample of sweepSampleRows rows (drawn without
+// replacement from a seed derived from KMeans.Seed, in row order) picks
+// k and its centers, then one pruned Lloyd run on every row refines
+// those centers. Scores and ChosenScore are then the subsample's
+// silhouettes. The result is still identical for every Workers setting,
+// but no longer bit-identical to the exact sweep on all rows: that
+// contract holds only at or below the cap.
 func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	o := opts.withDefaults()
 	n := pts.Rows()
 	if n == 0 {
 		return KSelection{}, fmt.Errorf("cluster: ChooseK with no points")
 	}
+	eng := parallel.New(o.Workers).WithContext(o.Ctx)
+	if n <= sweepSampleRows {
+		return chooseKExact(eng, pts, o)
+	}
+	obsSweepSampled.Inc()
+	sub := pts.GatherRows(sweepSample(n, o.KMeans.Seed))
+	sel, err := chooseKExact(eng, sub, o)
+	if err != nil {
+		return KSelection{}, err
+	}
+	var st distStats
+	sel.Best = refineDense(eng, pts, sel.Best.Centers, o.KMeans, &st)
+	if err := eng.Err(); err != nil {
+		// Canceled mid-refine: the result may cover a partial grid.
+		return KSelection{}, err
+	}
+	st.record()
+	return sel, nil
+}
+
+// sweepSample draws sweepSampleRows of n row indices uniformly without
+// replacement and returns them sorted, so the subsample keeps the
+// input's row order.
+func sweepSample(n int, seed uint64) []int {
+	idx := stats.SampleWithoutReplacement(stats.NewRNG(stats.SplitSeed(seed, sweepSampleStream)), n, sweepSampleRows)
+	sort.Ints(idx)
+	return idx
+}
+
+// chooseKExact is the sweep itself: every k of [2, MaxK] clustered and
+// scored on every row of pts, on the caller's engine. o has its
+// defaults applied.
+func chooseKExact(eng *parallel.Engine, pts *matrix.Dense, o ChooseKOptions) (KSelection, error) {
+	n := pts.Rows()
 	maxK := o.MaxK
 	// Small populations cannot support many clusters: below ~20 points
 	// per cluster the silhouette sweep overfits sampling noise, so the
@@ -112,7 +174,6 @@ func ChooseKDense(pts *matrix.Dense, opts ChooseKOptions) (KSelection, error) {
 	if maxK > n {
 		maxK = n
 	}
-	eng := parallel.New(o.Workers).WithContext(o.Ctx)
 	pn2, pnr := pointNorms(pts)
 	var rows [][]float64
 	if o.KMeans.naive {

@@ -534,10 +534,39 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.E
 // the invariant and the equivalence argument.
 func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	o Options, eng *parallel.Engine, st *distStats) Result {
-	n, d := pts.Rows(), pts.Cols()
-	sc := getScratch(n, k, d)
+	sc := getScratch(pts.Rows(), k, pts.Cols())
 	defer putScratch(sc)
 	centers := seedPlusPlusDense(pts, pn2, pnr, k, rng, eng, sc, st)
+	res := lloydFrom(pts, pn2, pnr, centers, true, o, eng, sc, st)
+	obsRestarts.Inc()
+	obsLloydIters.Observe(float64(res.Iters))
+	return res
+}
+
+// refineDense runs the pruned Lloyd kernel on every point of pts from
+// the given centers instead of a k-means++ seeding: the second phase of
+// a subsampled k sweep. The centers are copied, never mutated.
+func refineDense(eng *parallel.Engine, pts *matrix.Dense, init [][]float64,
+	opts Options, st *distStats) Result {
+	sc := getScratch(pts.Rows(), len(init), pts.Cols())
+	defer putScratch(sc)
+	pn2, pnr := pointNorms(pts)
+	res := lloydFrom(pts, pn2, pnr, matrix.FromRows(init), false, opts.withDefaults(), eng, sc, st)
+	obsRefineIters.Observe(float64(res.Iters))
+	return res
+}
+
+// lloydFrom iterates the pruned kernel from the given centers, which it
+// takes ownership of. When seeded is true the centers come from
+// seedPlusPlusDense on the same scratch, and its handover state
+// (seedArg, d2, sq2) makes the first pass pure bookkeeping. Otherwise the
+// first pass starts cold: every point is assigned center 0 with a zero
+// lower bound, so the prune never fires and every point takes the full
+// scan — NearestCenter's strict-< lowest-index choice, bit for bit —
+// which fills the same state the seeding handover would have.
+func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, centers *matrix.Dense, seeded bool,
+	o Options, eng *parallel.Engine, sc *lloydScratch, st *distStats) Result {
+	n, d, k := pts.Rows(), pts.Cols(), centers.Rows()
 	next := matrix.NewDense(k, d)
 	assign := make([]int, n)
 	sizes := make([]int, k)
@@ -617,13 +646,16 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	// lower bound on the second-nearest. The first Lloyd pass therefore
 	// runs in reuse mode — pure bookkeeping, zero distance computations
 	// — and still produces bit-identical assignment, sizes, partial
-	// sums and inertia.
-	for i := 0; i < n; i++ {
-		assign[i] = int(sc.seedArg[i])
-	}
-	copy(dist2, sc.d2)
-	for i := 0; i < n; i++ {
-		lb2[i] = sc.sq2[i] * ((1 - boundSlack) * (1 - boundSlack))
+	// sums and inertia. Without a seeding, assign and lb2 stay zero (as
+	// allocated and as ensure left them) for the cold first pass.
+	if seeded {
+		for i := 0; i < n; i++ {
+			assign[i] = int(sc.seedArg[i])
+		}
+		copy(dist2, sc.d2)
+		for i := 0; i < n; i++ {
+			lb2[i] = sc.sq2[i] * ((1 - boundSlack) * (1 - boundSlack))
+		}
 	}
 
 	// Pending center drift from the previous update step, folded into
@@ -800,7 +832,7 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	var inertia float64
 	var iter int
 	for iter = 0; iter < o.MaxIter; iter++ {
-		inertia = pass(true, iter == 0)
+		inertia = pass(true, seeded && iter == 0)
 		// Update step: merge the per-chunk partial sums in chunk index
 		// order, then normalize — identical arithmetic to the naive
 		// kernel.
@@ -856,8 +888,6 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	// Final assignment pass so Assign/Sizes/Inertia are consistent with
 	// the returned (post-update) centers.
 	inertia = pass(false, false)
-	obsRestarts.Inc()
-	obsLloydIters.Observe(float64(iter + 1))
 	if !math.IsInf(prev, 1) {
 		obsConvergenceDelta.Observe(math.Abs(prev - inertia))
 	}

@@ -1,0 +1,7 @@
+//go:build race
+
+package cluster_test
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, which slows the k sweep's compute loops about tenfold.
+const raceEnabled = true

@@ -49,8 +49,9 @@ type Options struct {
 	Seed                uint64
 	// Restarts and MaxIter bound the k-means work per swept k. Zero
 	// selects the clustering defaults (4 restarts, 100 iterations),
-	// which reproduce the paper's runs; interactive callers profiling
-	// very large traces can trade refinement for latency here.
+	// which reproduce the paper's runs. Above 4096 units the sweep runs
+	// on a 4096-unit subsample (cluster.ChooseKDense), so its cost no
+	// longer grows with the trace's length.
 	Restarts int
 	MaxIter  int
 	// Workers bounds the concurrency of the whole formation pipeline
@@ -242,6 +243,9 @@ type Phases struct {
 	// to per-phase statistics.
 	Degraded []bool
 
+	// Silhouette and KScores are simplified silhouettes of the sweep's
+	// clusterings. Above 4096 training units the sweep runs on a
+	// subsample, and so do they (see cluster.ChooseKDense).
 	Silhouette float64   // silhouette at the chosen k
 	KScores    []float64 // silhouette per swept k (index 0 ↔ k=1)
 	FScores    []float64 // regression score of each selected dimension

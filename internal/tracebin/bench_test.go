@@ -3,6 +3,7 @@ package tracebin
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"simprof/internal/phase"
 	"simprof/internal/sampling"
@@ -106,4 +107,42 @@ func BenchmarkEndToEnd100k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEndToEnd100kDefault is the same pipeline at the options the
+// simprofd service runs (TopK 100, k = 1..20, 4 restarts, 100 Lloyd
+// iterations, n = 20). It reports the mean time of each stage per
+// profile as decode-ns, form-ns and simprof-ns (allocation plus
+// estimate), so a regression shows up in the layer that caused it.
+func BenchmarkEndToEnd100kDefault(b *testing.B) {
+	bin, _ := bench100kData(b)
+	var decode, form, simprof time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		tr, err := Decode(bin)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		ph, err := phase.Form(tr, phase.Options{Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		sp, err := sampling.SimProf(ph, 20, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sampling.EstimateOnTrace(ph, sp, tr); err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		decode += t1.Sub(t0)
+		form += t2.Sub(t1)
+		simprof += t3.Sub(t2)
+	}
+	b.ReportMetric(float64(decode.Nanoseconds())/float64(b.N), "decode-ns")
+	b.ReportMetric(float64(form.Nanoseconds())/float64(b.N), "form-ns")
+	b.ReportMetric(float64(simprof.Nanoseconds())/float64(b.N), "simprof-ns")
 }

@@ -10,7 +10,9 @@
 # the columnar trace format (DecodeBin vs the
 # legacy DecodeGob on the same 100k-unit trace, plus EndToEnd100k —
 # the decode → Form → allocate → estimate pipeline whose <100ms budget
-# the gate enforces), the request-trace retention engine (ReqTrace:
+# the gate enforces — and EndToEnd100kDefault, the same pipeline at the
+# service's default formation options with per-stage decode-ns,
+# form-ns and simprof-ns metrics), the request-trace retention engine (ReqTrace:
 # disabled must stay at 0 allocs/op, enabled is the stratify + reservoir
 # + rebalance cost), and the simprofd service under concurrent load
 # (SimprofdP99 reports the p99 request latency as its ns/op metric so
@@ -29,7 +31,7 @@ BENCHTIME="${BENCHTIME:-1x}"
 BENCHCOUNT="${BENCHCOUNT:-1}"
 
 go test -run '^$' \
-	-bench '^(BenchmarkChooseK|BenchmarkForm$|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkAccessLog$|BenchmarkReqTrace)' \
+	-bench '^(BenchmarkChooseK|BenchmarkForm$|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkEndToEnd100kDefault$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkAccessLog$|BenchmarkReqTrace)' \
 	-benchtime "$BENCHTIME" -count "$BENCHCOUNT" -benchmem -json \
 	./internal/cluster ./internal/phase ./internal/sampling ./internal/obs ./internal/obs/reqtrace ./internal/tracebin ./internal/server \
 	>"$OUT"

@@ -30,7 +30,9 @@
 #   kernel-equivalence  pruned vs naive     (bound-pruned k-means must be
 #                                            bit-for-bit the naive kernel,
 #                                            run twice to shake out
-#                                            scratch-pool reuse; phase
+#                                            scratch-pool reuse; the
+#                                            subsampled k sweep's
+#                                            statistical contract; phase
 #                                            formation on a decoded bin
 #                                            trace must be bit-identical
 #                                            at workers 1/2/8)
@@ -202,6 +204,14 @@ run_kernel_equivalence() {
 	# pruned kernel leaks between runs.
 	go test -run 'TestPruned|TestChooseKPruned|TestSeedingPickSequence|TestDrawWeighted|TestNearestSet|TestSimplifiedSilhouetteDense|TestPruningEffectiveness' \
 		-count=2 ./internal/cluster || fail kernel-equivalence
+	# Above the k sweep's subsample cap the contract is statistical: the
+	# sampled sweep must stay worker-invariant, exact at or below the cap,
+	# never worse than its subsample's centers, cancelable mid-refine and
+	# in agreement with the exact sweep on clear cluster structure; and
+	# estimates from sampled phase formation must match the exact path's
+	# error and CI coverage.
+	go test -run 'TestSampledSweep|TestSweepAtOrBelowCap|TestRefineNeverRaisesInertia|TestSampledFormationEstimateContract' \
+		-count=1 ./internal/cluster || fail kernel-equivalence
 	# The chunk-parallel TopK projection inside phase.Form must produce
 	# bit-identical phases at any worker count, on both the gob and the
 	# zero-copy tracebin ingest paths.
