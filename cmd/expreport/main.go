@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"expvar"
 	"flag"
 	"fmt"
@@ -105,7 +106,7 @@ func main() {
 		}
 	}
 	for _, e := range toRun {
-		span := obs.StartSpan("expreport." + e)
+		span := obs.StartSpan(context.Background(), "expreport."+e)
 		err := runners[e](s)
 		span.End()
 		if err != nil {

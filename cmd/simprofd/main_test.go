@@ -36,10 +36,15 @@ func TestServeFlagValidation(t *testing.T) {
 		{"zero-cache-entries", []string{"-cache-entries", "0"}, "-cache-entries must be at least 1"},
 		{"bad-neg-cache-entries", []string{"-cache-entries", "-2"}, "-cache-entries must be at least 1"},
 		{"zero-cache-bytes", []string{"-cache-bytes", "0"}, "-cache-bytes must be at least 1"},
-		{"zero-batch-size", []string{"-batch-size", "0"}, "-batch-size must be at least 1"},
-		{"bad-neg-batch-size", []string{"-batch-size", "-8"}, "-batch-size must be at least 1"},
-		{"zero-batch-wait", []string{"-batch-wait", "0"}, "-batch-wait must be positive"},
-		{"neg-batch-wait", []string{"-batch-wait", "-1ms"}, "-batch-wait must be positive"},
+		// simprofd has no batch queue: any -batch-size or -batch-wait,
+		// whatever its value, is an unknown flag.
+		{"batch-size", []string{"-batch-size", "8"}, "flag provided but not defined: -batch-size"},
+		{"inline-batch-size", []string{"-batch-size", "-1"}, "flag provided but not defined: -batch-size"},
+		{"zero-batch-size", []string{"-batch-size", "0"}, "flag provided but not defined: -batch-size"},
+		{"bad-neg-batch-size", []string{"-batch-size", "-8"}, "flag provided but not defined: -batch-size"},
+		{"batch-wait", []string{"-batch-wait", "2ms"}, "flag provided but not defined: -batch-wait"},
+		{"zero-batch-wait", []string{"-batch-wait", "0"}, "flag provided but not defined: -batch-wait"},
+		{"neg-batch-wait", []string{"-batch-wait", "-1ms"}, "flag provided but not defined: -batch-wait"},
 		{"missing-slo-config", []string{"-slo-config", "/nonexistent/slo.json"}, "-slo-config"},
 		{"bad-access-log-dir", []string{"-access-log", "/nonexistent/dir/access.log"}, "-access-log"},
 	}
@@ -114,8 +119,9 @@ func TestServeGoodFlags(t *testing.T) {
 	}
 }
 
-// TestServeBatchFlags: the cache/batch/body knobs land in the server
-// config, including the -1 disable sentinels and the -workers bound.
+// TestServeBatchFlags: the dedup-layer knobs land in the server
+// config, including the -1 cache-disable sentinel, alongside the body
+// and worker bounds.
 func TestServeBatchFlags(t *testing.T) {
 	o, err := buildServeOpts([]string{
 		"-history", "",
@@ -123,8 +129,6 @@ func TestServeBatchFlags(t *testing.T) {
 		"-max-body", "1048576",
 		"-cache-entries", "64",
 		"-cache-bytes", "8388608",
-		"-batch-size", "16",
-		"-batch-wait", "5ms",
 	})
 	if err != nil {
 		t.Fatalf("buildServeOpts: %v", err)
@@ -138,16 +142,13 @@ func TestServeBatchFlags(t *testing.T) {
 	if o.cfg.CacheEntries != 64 || o.cfg.CacheBytes != 8<<20 {
 		t.Fatalf("cache bounds = (%d, %d), want (64, %d)", o.cfg.CacheEntries, o.cfg.CacheBytes, 8<<20)
 	}
-	if o.cfg.BatchSize != 16 || o.cfg.BatchWait != 5*time.Millisecond {
-		t.Fatalf("batch knobs = (%d, %v), want (16, 5ms)", o.cfg.BatchSize, o.cfg.BatchWait)
-	}
 
-	o, err = buildServeOpts([]string{"-history", "", "-cache-entries", "-1", "-batch-size", "-1"})
+	o, err = buildServeOpts([]string{"-history", "", "-cache-entries", "-1"})
 	if err != nil {
-		t.Fatalf("disable sentinels rejected: %v", err)
+		t.Fatalf("disable sentinel rejected: %v", err)
 	}
-	if o.cfg.CacheEntries != -1 || o.cfg.BatchSize != -1 {
-		t.Fatalf("sentinels = (%d, %d), want (-1, -1)", o.cfg.CacheEntries, o.cfg.BatchSize)
+	if o.cfg.CacheEntries != -1 {
+		t.Fatalf("sentinel = %d, want -1", o.cfg.CacheEntries)
 	}
 }
 

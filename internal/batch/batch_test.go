@@ -25,12 +25,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 func TestIdleFastPathExecutesImmediately(t *testing.T) {
 	g := NewGroup(Config[string, int, int]{
-		MaxWait: time.Hour, // the idle fast path must not wait for this
 		Exec: func(ctx context.Context, key string, p int) (int, error) {
 			return p * 2, nil
 		},
 	})
-	defer g.Stop()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -41,14 +39,11 @@ func TestIdleFastPathExecutesImmediately(t *testing.T) {
 		if res.Source != Miss {
 			t.Errorf("Source = %v, want Miss", res.Source)
 		}
-		if res.BatchSize != 1 {
-			t.Errorf("BatchSize = %d, want 1", res.BatchSize)
-		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("idle Do did not complete promptly despite MaxWait=1h")
+		t.Fatal("Do on an idle group did not complete promptly")
 	}
 }
 
@@ -64,7 +59,6 @@ func TestCoalesceSharesOneExec(t *testing.T) {
 			return p + 1, nil
 		},
 	})
-	defer g.Stop()
 
 	results := make(chan Source, 3)
 	var wg sync.WaitGroup
@@ -125,7 +119,6 @@ func TestLeaderCancelHandsOffToFollower(t *testing.T) {
 			}
 		},
 	})
-	defer g.Stop()
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
@@ -180,7 +173,6 @@ func TestAllWaitersGoneCancelsFlight(t *testing.T) {
 			return 0, ctx.Err()
 		},
 	})
-	defer g.Stop()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go g.Do(ctx, "k", 0)
@@ -206,7 +198,6 @@ func TestCacheHitSkipsExec(t *testing.T) {
 			return fmt.Sprintf("v%d", p), nil
 		},
 	})
-	defer g.Stop()
 
 	v1, res1, err := g.Do(context.Background(), "k", 5)
 	if err != nil || res1.Source != Miss {
@@ -236,7 +227,6 @@ func TestErrorsAreNotCached(t *testing.T) {
 			return 9, nil
 		},
 	})
-	defer g.Stop()
 
 	if _, _, err := g.Do(context.Background(), "k", 0); !errors.Is(err, boom) {
 		t.Fatalf("first Do err = %v, want boom", err)
@@ -247,83 +237,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 }
 
-func TestSizeFlushAtMaxBatch(t *testing.T) {
-	block := make(chan struct{})
-	var execs atomic.Int64
-	g := NewGroup(Config[int, int, int]{
-		MaxBatch: 2,
-		MaxWait:  time.Hour,
-		Exec: func(ctx context.Context, key int, p int) (int, error) {
-			execs.Add(1)
-			if key == 0 { // the blocker that keeps the group busy
-				<-block
-			}
-			return key, nil
-		},
-	})
-	defer g.Stop()
-
-	// Occupy the group so later enqueues batch instead of fast-pathing.
-	go g.Do(context.Background(), 0, 0)
-	waitFor(t, 2*time.Second, func() bool { return execs.Load() == 1 }, "blocker to start")
-
-	var wg sync.WaitGroup
-	sizes := make(chan int, 2)
-	for k := 1; k <= 2; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			_, res, err := g.Do(context.Background(), k, 0)
-			if err != nil {
-				t.Errorf("Do(%d): %v", k, err)
-			}
-			sizes <- res.BatchSize
-		}(k)
-	}
-	// With MaxWait=1h the only way these complete is the size flush.
-	wg.Wait()
-	close(block)
-	for i := 0; i < 2; i++ {
-		if s := <-sizes; s != 2 {
-			t.Fatalf("BatchSize = %d, want 2 (size-triggered flush)", s)
-		}
-	}
-}
-
-func TestMaxWaitFlush(t *testing.T) {
-	block := make(chan struct{})
-	var execs atomic.Int64
-	g := NewGroup(Config[int, int, int]{
-		MaxBatch: 64,
-		MaxWait:  5 * time.Millisecond,
-		Exec: func(ctx context.Context, key int, p int) (int, error) {
-			execs.Add(1)
-			if key == 0 {
-				<-block
-			}
-			return key, nil
-		},
-	})
-	defer g.Stop()
-
-	go g.Do(context.Background(), 0, 0)
-	waitFor(t, 2*time.Second, func() bool { return execs.Load() == 1 }, "blocker to start")
-
-	start := time.Now()
-	_, res, err := g.Do(context.Background(), 1, 0)
-	close(block)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if res.BatchSize != 1 {
-		t.Fatalf("BatchSize = %d, want 1 (deadline flush of a lone item)", res.BatchSize)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline flush took %v", elapsed)
-	}
-}
-
-// fakeTicket counts Start/Done to check batch items hold admission
+// fakeTicket counts Start/Done to check flights hold admission
 // for exactly the execution.
 type fakeTicket struct {
 	started atomic.Int64
@@ -349,7 +263,6 @@ func TestAdmitRefusalAtEnqueue(t *testing.T) {
 			return key, nil
 		},
 	})
-	defer g.Stop()
 
 	done := make(chan error, 1)
 	go func() {
@@ -371,40 +284,65 @@ func TestAdmitRefusalAtEnqueue(t *testing.T) {
 	}
 }
 
-func TestStopFlushesPending(t *testing.T) {
-	block := make(chan struct{})
-	var execs atomic.Int64
+// gateTicket is a queued admission ticket: Start blocks until the
+// gate opens (or ctx ends).
+type gateTicket struct{ gate chan struct{} }
+
+func (t *gateTicket) Start(ctx context.Context) error {
+	select {
+	case <-t.gate:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+func (t *gateTicket) Done() {}
+
+// TestEnqueueWaitIsTicketStartWait: a flight's EnqueueWait is how long
+// its ticket's Start blocked, and Exec runs only after Start returns.
+func TestEnqueueWaitIsTicketStartWait(t *testing.T) {
+	tk := &gateTicket{gate: make(chan struct{})}
+	var started atomic.Bool
 	g := NewGroup(Config[int, int, int]{
-		MaxBatch: 64,
-		MaxWait:  time.Hour,
+		Admit: func() (Ticket, error) { return tk, nil },
 		Exec: func(ctx context.Context, key int, p int) (int, error) {
-			execs.Add(1)
-			if key == 0 {
-				<-block
-			}
+			started.Store(true)
 			return key, nil
 		},
 	})
-
-	go g.Do(context.Background(), 0, 0)
-	waitFor(t, 2*time.Second, func() bool { return execs.Load() == 1 }, "blocker to start")
-
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := g.Do(context.Background(), 1, 0)
-		done <- err
-	}()
-	waitFor(t, 2*time.Second, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.pending) == 1
-	}, "item to pend")
-
-	g.Stop()
-	if err := <-done; err != nil {
-		t.Fatalf("pending Do after Stop: %v", err)
+	time.AfterFunc(20*time.Millisecond, func() { close(tk.gate) })
+	_, res, err := g.Do(context.Background(), 1, 0)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
 	}
-	close(block)
+	if !started.Load() {
+		t.Fatal("Exec never ran")
+	}
+	if res.EnqueueWait < 20*time.Millisecond {
+		t.Fatalf("EnqueueWait = %v, want >= 20ms (the ticket's Start wait)", res.EnqueueWait)
+	}
+}
+
+type ctxKey struct{}
+
+// TestFlightContextCarriesLeaderValues: Exec's context carries the
+// leader's values (the server's request-trace collector rides there)
+// while staying alive past the leader's own cancellation.
+func TestFlightContextCarriesLeaderValues(t *testing.T) {
+	got := make(chan any, 1)
+	g := NewGroup(Config[int, int, int]{
+		Exec: func(ctx context.Context, key int, p int) (int, error) {
+			got <- ctx.Value(ctxKey{})
+			return key, nil
+		},
+	})
+	ctx := context.WithValue(context.Background(), ctxKey{}, "leader")
+	if _, _, err := g.Do(ctx, 1, 0); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if v := <-got; v != "leader" {
+		t.Fatalf("Exec ctx value = %v, want the leader's", v)
+	}
 }
 
 func TestCacheEntryBound(t *testing.T) {

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -10,74 +10,55 @@ import (
 // machinery (StartRun/SpanTree) is process-global — one tree per run —
 // which is the wrong shape for a server handling concurrent requests.
 // A Collector is the per-request counterpart: the handler attaches one
-// to its goroutine, the pipeline stages underneath keep calling the
-// ordinary StartSpan/End, and those spans land in the request's own
-// tree instead of the global one. Detach returns the finished tree.
+// to its request context, the pipeline stages underneath keep calling
+// the ordinary StartSpan/End with that context, and those spans land in
+// the request's own tree instead of the global one. Detach returns the
+// finished tree.
 //
-// Routing is by goroutine id: StartSpan looks up a collector for the
-// calling goroutine before falling back to the global run. Spans opened
-// by other goroutines (the parallel worker pools) are not captured —
-// same contract as the global tree, where concurrent work rides timer
+// Routing is by context: StartSpan looks for a collector on ctx before
+// falling back to the global run, so any goroutine the request's
+// context reaches (a coalesced flight's executor, say) opens spans in
+// the same tree. The parallel worker pools open no spans — same
+// contract as the global tree, where concurrent work rides timer
 // samples instead.
 type Collector struct {
-	gid int64
-	t0  time.Time
+	t0 time.Time
 
 	mu   sync.Mutex
 	root *Span
 	cur  *Span
 }
 
-// collectors is the goroutine-id → Collector registry. The count is
-// kept separately in an atomic so the common no-collector case (every
-// CLI span, and every server span while request tracing is off) pays
-// one atomic load and no lock.
-var collectors struct {
-	n  atomic.Int64
-	mu sync.RWMutex
-	m  map[int64]*Collector
-}
+// collectorKey is the context key a Collector rides under.
+type collectorKey struct{}
 
-// AttachCollector registers a new collector for the calling goroutine
-// and opens its root span. It returns nil while telemetry is disabled;
-// nil collectors no-op on Detach, so call sites need no guards. If the
-// goroutine already has a collector the new one replaces it (last
-// wins) — callers are expected to Detach before re-attaching.
-func AttachCollector(rootName string) *Collector {
+// AttachCollector opens a new collector's root span and returns a
+// context carrying it. While telemetry is disabled it returns ctx
+// unchanged and a nil collector; nil collectors no-op on Detach, so
+// call sites need no guards. A collector already on ctx is shadowed,
+// not replaced: contexts derived from the returned one see the new
+// collector, the caller's ctx keeps the old.
+func AttachCollector(ctx context.Context, rootName string) (context.Context, *Collector) {
 	if !enabled.Load() {
-		return nil
+		return ctx, nil
 	}
-	gid := curGID()
 	now := time.Now()
-	c := &Collector{gid: gid, t0: now}
-	c.root = &Span{Name: rootName, GID: gid, start: now, col: c}
+	c := &Collector{t0: now}
+	c.root = &Span{Name: rootName, GID: curGID(), start: now, col: c}
 	c.cur = c.root
-	collectors.mu.Lock()
-	if collectors.m == nil {
-		collectors.m = make(map[int64]*Collector)
-	}
-	if collectors.m[gid] == nil {
-		collectors.n.Add(1)
-	}
-	collectors.m[gid] = c
-	collectors.mu.Unlock()
-	return c
+	return context.WithValue(ctx, collectorKey{}, c), c
 }
 
-// Detach unregisters the collector and returns its finished span tree.
-// Any spans still open (including the root) are closed at the detach
-// time, so a handler that panicked mid-stage still yields a coherent
-// tree. Safe to call from any goroutine, and idempotent.
+// Detach closes the collector and returns its finished span tree. Any
+// spans still open (including the root) are closed at the detach time,
+// so a handler that panicked mid-stage still yields a coherent tree;
+// later StartSpan, End and SetAttr calls on the collector's spans are
+// no-ops, so the returned tree is frozen. Safe to call from any
+// goroutine, and idempotent.
 func (c *Collector) Detach() *Span {
 	if c == nil {
 		return nil
 	}
-	collectors.mu.Lock()
-	if collectors.m[c.gid] == c {
-		delete(collectors.m, c.gid)
-		collectors.n.Add(-1)
-	}
-	collectors.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
@@ -90,72 +71,11 @@ func (c *Collector) Detach() *Span {
 	return c.root
 }
 
-// CurrentCollector returns the collector attached to the calling
-// goroutine, or nil. Handlers capture it before handing work to
-// another goroutine (a batch flush pass, say) so the executor can
-// Adopt it and keep the request's span tree whole.
-func CurrentCollector() *Collector {
-	if collectors.n.Load() == 0 {
-		return nil
-	}
-	return collectorFor(curGID())
-}
-
-// Adopt registers the collector for the calling goroutine as well, so
-// spans this goroutine opens land in the same request tree the
-// original handler goroutine owns. It returns a release function that
-// MUST be called (on the same goroutine) when the borrowed work ends;
-// release restores whatever collector the goroutine had before. A nil
-// collector returns a no-op release, so the disabled-telemetry path
-// needs no guards.
-//
-// The intended shape is strictly sequential hand-off: the owning
-// goroutine blocks while the adopter executes (a coalesced flight's
-// leader waiting on its batch item). If both race anyway, the
-// collector's internal lock keeps the tree structurally sound — only
-// the parent/child placement of the racing spans is unspecified.
-func (c *Collector) Adopt() (release func()) {
-	if c == nil {
-		return func() {}
-	}
-	gid := curGID()
-	collectors.mu.Lock()
-	if collectors.m == nil {
-		collectors.m = make(map[int64]*Collector)
-	}
-	prev := collectors.m[gid]
-	if prev == nil {
-		collectors.n.Add(1)
-	}
-	collectors.m[gid] = c
-	collectors.mu.Unlock()
-	return func() {
-		collectors.mu.Lock()
-		if collectors.m[gid] == c {
-			if prev == nil {
-				delete(collectors.m, gid)
-				collectors.n.Add(-1)
-			} else {
-				collectors.m[gid] = prev
-			}
-		}
-		collectors.mu.Unlock()
-	}
-}
-
-// collectorFor returns the calling goroutine's collector, if any.
-func collectorFor(gid int64) *Collector {
-	collectors.mu.RLock()
-	c := collectors.m[gid]
-	collectors.mu.RUnlock()
-	return c
-}
-
 // startSpan opens a child of the collector's current span.
 func (c *Collector) startSpan(name string, gid int64) *Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cur == nil { // detached concurrently
+	if c.cur == nil { // detached
 		return nil
 	}
 	now := time.Now()
@@ -173,10 +93,14 @@ func (c *Collector) startSpan(name string, gid int64) *Span {
 }
 
 // end closes a collector-owned span, popping the cursor if it is
-// current (mirrors the global End semantics).
+// current (mirrors the global End semantics). A detached collector's
+// tree is frozen: Detach already closed the span.
 func (c *Collector) end(s *Span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.cur == nil {
+		return
+	}
 	s.DurNS = time.Since(s.start).Nanoseconds()
 	if c.cur == s {
 		c.cur = s.parent

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -8,11 +9,13 @@ import (
 func TestCollectorDisabledReturnsNil(t *testing.T) {
 	Disable()
 	defer Disable()
-	if c := AttachCollector("req"); c != nil {
-		t.Fatalf("AttachCollector while disabled = %v, want nil", c)
+	ctx := context.Background()
+	got, c := AttachCollector(ctx, "req")
+	if c != nil || got != ctx {
+		t.Fatalf("AttachCollector while disabled = (%v, %v), want (ctx unchanged, nil)", got, c)
 	}
-	var c *Collector
-	if got := c.Detach(); got != nil {
+	var nilC *Collector
+	if got := nilC.Detach(); got != nil {
 		t.Fatalf("nil Collector.Detach() = %v, want nil", got)
 	}
 }
@@ -21,15 +24,15 @@ func TestCollectorCapturesSpanTree(t *testing.T) {
 	Enable()
 	defer Disable()
 
-	c := AttachCollector("req-1")
+	ctx, c := AttachCollector(context.Background(), "req-1")
 	if c == nil {
 		t.Fatal("AttachCollector returned nil while enabled")
 	}
-	a := StartSpan("stage.a")
-	aa := StartSpan("stage.a.inner")
+	a := StartSpan(ctx, "stage.a")
+	aa := StartSpan(ctx, "stage.a.inner")
 	aa.End()
 	a.End()
-	b := StartSpan("stage.b")
+	b := StartSpan(ctx, "stage.b")
 	b.End()
 	root := c.Detach()
 
@@ -49,9 +52,35 @@ func TestCollectorCapturesSpanTree(t *testing.T) {
 		t.Fatalf("root DurNS = %d, want > 0 (closed at detach)", root.DurNS)
 	}
 	// Spans after detach must not resurrect the collector's tree.
-	s := StartSpan("stage.after")
-	if s != nil {
-		t.Fatalf("StartSpan after detach (no run, no collector) = %+v, want nil", s)
+	if s := StartSpan(ctx, "stage.after"); s != nil {
+		t.Fatalf("StartSpan on a detached collector = %+v, want nil", s)
+	}
+	if len(root.Children) != 2 {
+		t.Fatalf("detached tree grew to %d children", len(root.Children))
+	}
+}
+
+// TestCollectorDetachClosesOpenSpans: a span still open at Detach is
+// closed at the detach time, and the frozen tree ignores a late End or
+// SetAttr from a goroutine that outlived the request.
+func TestCollectorDetachClosesOpenSpans(t *testing.T) {
+	Enable()
+	defer Disable()
+
+	ctx, c := AttachCollector(context.Background(), "req")
+	open := StartSpan(ctx, "stage.open")
+	root := c.Detach()
+	if len(root.Children) != 1 || root.Children[0] != open {
+		t.Fatalf("open span missing from the detached tree: %+v", root.Children)
+	}
+	closed := open.DurNS
+	if closed <= 0 {
+		t.Fatalf("open span DurNS = %d after Detach, want > 0", closed)
+	}
+	open.SetAttr("late", "1")
+	open.End()
+	if open.DurNS != closed || open.Attrs != nil {
+		t.Fatalf("detached span changed after Detach: dur %d→%d, attrs %v", closed, open.DurNS, open.Attrs)
 	}
 }
 
@@ -60,10 +89,10 @@ func TestCollectorDoesNotTouchGlobalRun(t *testing.T) {
 	defer Disable()
 
 	run := StartRun("global-run")
-	c := AttachCollector("req")
-	StartSpan("req.stage").End()
+	ctx, c := AttachCollector(context.Background(), "req")
+	StartSpan(ctx, "req.stage").End()
 	c.Detach()
-	StartSpan("global.stage").End()
+	StartSpan(context.Background(), "global.stage").End()
 	run.End()
 
 	tree := SpanTree()
@@ -86,10 +115,10 @@ func TestCollectorConcurrentIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := AttachCollector("req")
+			ctx, c := AttachCollector(context.Background(), "req")
 			for j := 0; j < 8; j++ {
-				s := StartSpan("stage")
-				inner := StartSpan("inner")
+				s := StartSpan(ctx, "stage")
+				inner := StartSpan(ctx, "inner")
 				inner.End()
 				s.End()
 			}
@@ -102,11 +131,32 @@ func TestCollectorConcurrentIsolation(t *testing.T) {
 			t.Fatalf("goroutine %d: nil root", i)
 		}
 		if len(r.Children) != 8 {
-			t.Fatalf("goroutine %d: %d children, want 8 (cross-goroutine leak?)", i, len(r.Children))
+			t.Fatalf("goroutine %d: %d children, want 8 (cross-collector leak?)", i, len(r.Children))
 		}
 	}
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count after all detached = %d, want 0", n)
+}
+
+// TestCollectorFollowsContextAcrossGoroutines: the collector rides the
+// context, so a goroutine handed the request's ctx — a flight executor,
+// say — opens its spans in the request's tree, under whatever span is
+// current there.
+func TestCollectorFollowsContextAcrossGoroutines(t *testing.T) {
+	Enable()
+	defer Disable()
+
+	ctx, c := AttachCollector(context.Background(), "req")
+	wait := StartSpan(ctx, "wait")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		StartSpan(context.WithoutCancel(ctx), "exec").End()
+	}()
+	<-done
+	wait.End()
+	root := c.Detach()
+	if len(root.Children) != 1 || len(root.Children[0].Children) != 1 ||
+		root.Children[0].Children[0].Name != "exec" {
+		t.Fatalf("exec span not under wait in the request tree: %+v", root.Children)
 	}
 }
 
@@ -114,78 +164,11 @@ func TestCollectorDetachIdempotent(t *testing.T) {
 	Enable()
 	defer Disable()
 
-	c := AttachCollector("req")
-	StartSpan("stage").End()
+	ctx, c := AttachCollector(context.Background(), "req")
+	StartSpan(ctx, "stage").End()
 	first := c.Detach()
 	second := c.Detach()
 	if first == nil || second != first {
 		t.Fatalf("Detach not idempotent: first=%p second=%p", first, second)
-	}
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count = %d, want 0", n)
-	}
-}
-
-func TestCurrentCollectorAndAdopt(t *testing.T) {
-	Enable()
-	defer Disable()
-
-	if got := CurrentCollector(); got != nil {
-		t.Fatalf("CurrentCollector with none attached = %v, want nil", got)
-	}
-	c := AttachCollector("req")
-	if got := CurrentCollector(); got != c {
-		t.Fatalf("CurrentCollector = %p, want the attached collector %p", got, c)
-	}
-
-	// Hand the collector to a worker goroutine: its spans must land in
-	// the request tree, and release must restore the worker's state.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		release := c.Adopt()
-		StartSpan("adopted.stage").End()
-		release()
-		if s := StartSpan("after.release"); s != nil {
-			t.Errorf("StartSpan after release = %+v, want nil (no collector, no run)", s)
-		}
-	}()
-	<-done
-
-	root := c.Detach()
-	if len(root.Children) != 1 || root.Children[0].Name != "adopted.stage" {
-		t.Fatalf("adopted span missing from request tree: %+v", root.Children)
-	}
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count = %d, want 0", n)
-	}
-}
-
-func TestAdoptNilCollector(t *testing.T) {
-	var c *Collector
-	release := c.Adopt()
-	release() // must be a safe no-op
-}
-
-func TestAdoptRestoresPreviousCollector(t *testing.T) {
-	Enable()
-	defer Disable()
-
-	mine := AttachCollector("mine")
-	theirs := &Collector{gid: -1} // synthetic collector owned elsewhere
-	theirs.root = &Span{Name: "theirs", col: theirs}
-	theirs.cur = theirs.root
-
-	release := theirs.Adopt()
-	if got := CurrentCollector(); got != theirs {
-		t.Fatalf("CurrentCollector during adoption = %p, want %p", got, theirs)
-	}
-	release()
-	if got := CurrentCollector(); got != mine {
-		t.Fatalf("CurrentCollector after release = %p, want restored %p", got, mine)
-	}
-	mine.Detach()
-	if n := collectors.n.Load(); n != 0 {
-		t.Fatalf("collector count = %d, want 0", n)
 	}
 }

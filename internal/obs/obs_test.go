@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -153,17 +154,17 @@ func TestSpanTree(t *testing.T) {
 	if s := StartRun("off"); s != nil {
 		t.Fatal("StartRun collected while disabled")
 	}
-	if s := StartSpan("off"); s != nil {
+	if s := StartSpan(context.Background(), "off"); s != nil {
 		t.Fatal("StartSpan collected while disabled")
 	}
 
 	withEnabled(t, func() {
 		root := StartRun("run")
-		a := StartSpan("a")
-		a1 := StartSpan("a1")
+		a := StartSpan(context.Background(), "a")
+		a1 := StartSpan(context.Background(), "a1")
 		a1.End()
 		a.End()
-		b := StartSpan("b")
+		b := StartSpan(context.Background(), "b")
 		b.End()
 		root.End()
 
@@ -317,7 +318,7 @@ func TestSpanSetAttr(t *testing.T) {
 	defer Disable()
 
 	run := StartRun("run")
-	s := StartSpan("stage")
+	s := StartSpan(context.Background(), "stage")
 	s.SetAttr("batch.size", "4")
 	s.SetAttr("cache", "miss")
 	s.SetAttr("cache", "hit") // last write wins
@@ -339,8 +340,8 @@ func TestSpanSetAttrCollectorOwned(t *testing.T) {
 	Enable()
 	defer Disable()
 
-	c := AttachCollector("req")
-	s := StartSpan("stage")
+	ctx, c := AttachCollector(context.Background(), "req")
+	s := StartSpan(ctx, "stage")
 	s.SetAttr("source", "coalesced")
 	s.End()
 	root := c.Detach()

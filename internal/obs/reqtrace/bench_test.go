@@ -1,6 +1,7 @@
 package reqtrace
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -12,9 +13,10 @@ import (
 // is 0 allocs/op — turning the feature off must cost two nil checks.
 func BenchmarkReqTraceDisabled(b *testing.B) {
 	var e *Engine
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a := e.Start("id", "/v1/profile", "default")
+		_, a := e.Start(ctx, "id", "/v1/profile", "default")
 		e.Finish(a, 200, "ok", 0, time.Millisecond)
 	}
 }
@@ -32,10 +34,11 @@ func BenchmarkReqTraceEnabled(b *testing.B) {
 	for i := 0; i < 2000; i++ {
 		finish(e, fmt.Sprintf("warm%d", i), "/v1/profile", 200, "ok", time.Duration(1+i%200)*time.Millisecond)
 	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := e.Start("bench", "/v1/profile", "default")
+		_, a := e.Start(ctx, "bench", "/v1/profile", "default")
 		e.Finish(a, 200, "ok", 0, time.Duration(1+i%200)*time.Millisecond)
 	}
 }

@@ -1,6 +1,7 @@
 package reqtrace
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -195,8 +196,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	clk := newSteppedClock()
 	e := New(Config{Budget: 100, Now: clk.now, Seed: 23, Store: store})
 
-	a := e.Start("req-abc", "/v1/profile", "tenant-1")
-	sp := obs.StartSpan("phase.form")
+	ctx, a := e.Start(context.Background(), "req-abc", "/v1/profile", "tenant-1")
+	sp := obs.StartSpan(ctx, "phase.form")
 	sp.End()
 	e.Finish(a, 500, "internal", 64, 42*time.Millisecond)
 	e.Stop() // drains the persist queue

@@ -16,6 +16,7 @@
 package reqtrace
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -230,20 +231,21 @@ func (e *Engine) Stop() {
 	})
 }
 
-// Start begins tracing one request: it attaches a span collector to the
-// calling goroutine (when telemetry is enabled) so the pipeline's
-// ordinary StartSpan calls land in this request's tree. The returned
-// handle must be Finished (or Aborted) on the same goroutine chain.
-// A nil engine returns nil, and a nil Active no-ops — the disabled path
-// is two nil checks and nothing else.
-func (e *Engine) Start(id, route, tenant string) *Active {
+// Start begins tracing one request: it attaches a span collector to
+// ctx (when telemetry is enabled) and returns the derived context, so
+// the pipeline's ordinary StartSpan calls under it land in this
+// request's tree. The returned handle must be Finished (or Aborted).
+// A nil engine returns ctx unchanged and a nil Active, and a nil Active
+// no-ops — the disabled path is two nil checks and nothing else.
+func (e *Engine) Start(ctx context.Context, id, route, tenant string) (context.Context, *Active) {
 	if e == nil {
-		return nil
+		return ctx, nil
 	}
-	return &Active{
+	ctx, col := obs.AttachCollector(ctx, "request "+id)
+	return ctx, &Active{
 		id: id, route: route, tenant: tenant,
 		start: e.cfg.Now(),
-		col:   obs.AttachCollector("request " + id),
+		col:   col,
 	}
 }
 

@@ -1,6 +1,7 @@
 package reqtrace
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -24,15 +25,16 @@ func (c *steppedClock) now() time.Time {
 
 // finish drives one trace through the engine without HTTP machinery.
 func finish(e *Engine, id, route string, status int, class string, latency time.Duration) {
-	a := e.Start(id, route, "default")
+	_, a := e.Start(context.Background(), id, route, "default")
 	e.Finish(a, status, class, 0, latency)
 }
 
 func TestNilEngineNoOps(t *testing.T) {
 	var e *Engine
-	a := e.Start("id", "/v1/profile", "default")
-	if a != nil {
-		t.Fatalf("nil engine Start = %+v, want nil", a)
+	ctx := context.Background()
+	got, a := e.Start(ctx, "id", "/v1/profile", "default")
+	if a != nil || got != ctx {
+		t.Fatalf("nil engine Start = (%v, %+v), want (ctx unchanged, nil)", got, a)
 	}
 	e.Finish(a, 200, "ok", 0, time.Millisecond)
 	e.Abort(a)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"sync"
@@ -126,18 +127,15 @@ func StartRun(name string) *Span {
 
 // StartSpan opens a child of the current span and makes it current.
 // Disabled telemetry (or no active run) returns nil; nil spans no-op on
-// End, so call sites need no guards. If the calling goroutine has a
-// request-scoped Collector attached, the span lands in that tree
-// instead of the global run.
-func StartSpan(name string) *Span {
+// End, so call sites need no guards. If ctx carries a request-scoped
+// Collector, the span lands in that tree instead of the global run.
+func StartSpan(ctx context.Context, name string) *Span {
 	if !enabled.Load() {
 		return nil
 	}
 	gid := curGID()
-	if collectors.n.Load() != 0 {
-		if c := collectorFor(gid); c != nil {
-			return c.startSpan(name, gid)
-		}
+	if c, _ := ctx.Value(collectorKey{}).(*Collector); c != nil {
+		return c.startSpan(name, gid)
 	}
 	spanState.mu.Lock()
 	defer spanState.mu.Unlock()
@@ -188,6 +186,9 @@ func (s *Span) SetAttr(key, value string) {
 	if s.col != nil {
 		s.col.mu.Lock()
 		defer s.col.mu.Unlock()
+		if s.col.cur == nil { // detached: the tree is frozen
+			return
+		}
 	} else {
 		spanState.mu.Lock()
 		defer spanState.mu.Unlock()

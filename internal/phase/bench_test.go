@@ -5,23 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkForm measures full phase formation (vectorization, feature
-// selection, k sweep) on a synthetic 600-unit trace.
-func BenchmarkForm(b *testing.B) {
-	tr := synthTrace(300, 1) // 600 units
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Form(tr, Options{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFormPhases is phase formation across worker counts — the
-// parallel-scaling view of BenchmarkForm (whose single-number result
-// stays the perf-gate baseline).
+// BenchmarkFormPhases measures full phase formation (vectorization,
+// feature selection, k sweep) on a synthetic 600-unit trace at each
+// worker count; workers=1 is the perf gate's kernel-speedup baseline.
 func BenchmarkFormPhases(b *testing.B) {
-	tr := synthTrace(300, 1)
+	tr := synthTrace(300, 1) // 600 units
 	for _, w := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

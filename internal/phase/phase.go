@@ -300,7 +300,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	if len(tr.Units) == 0 {
 		return nil, fmt.Errorf("phase: trace has no sampling units")
 	}
-	formSpan := obs.StartSpan("phase.form")
+	formSpan := obs.StartSpan(ctx, "phase.form")
 	defer formSpan.End()
 	obsFormRuns.Inc()
 	obsFormUnits.Add(int64(len(tr.Units)))
@@ -323,7 +323,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	// touch a handful of methods out of the whole interned table, so the
 	// CSR form stores orders of magnitude fewer cells than the n×d dense
 	// matrix the pipeline used to materialize here.
-	vecSpan := obs.StartSpan("phase.vectorize")
+	vecSpan := obs.StartSpan(ctx, "phase.vectorize")
 	full := fullSpace(tr)
 	sp := fullFreqMatrix(full, tr)
 	obsVecNNZ.Add(int64(sp.NNZ()))
@@ -332,7 +332,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 	// Univariate linear-regression feature selection against IPC, on
 	// fully observed units only (a dropped counter is not IPC 0). The
 	// sparse scorer walks stored nonzeros, never the full method space.
-	selSpan := obs.StartSpan("phase.feature_select")
+	selSpan := obs.StartSpan(ctx, "phase.feature_select")
 	cleanIPC := make([]float64, len(clean))
 	for k, i := range clean {
 		cleanIPC[k] = tr.Units[i].Counters.IPC()
@@ -374,7 +374,7 @@ func FormCtx(ctx context.Context, tr *trace.Trace, opts Options) (*Phases, error
 		cleanSelected = selected.GatherRows(clean)
 	}
 	selSpan.End()
-	clusterSpan := obs.StartSpan("phase.cluster")
+	clusterSpan := obs.StartSpan(ctx, "phase.cluster")
 	sel, err := cluster.ChooseKDense(cleanSelected, cluster.ChooseKOptions{
 		MaxK:      o.MaxPhases,
 		Threshold: o.SilhouetteThreshold,

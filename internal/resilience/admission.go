@@ -47,83 +47,10 @@ func NewAdmission(workers, queue int) *Admission {
 	return a
 }
 
-// Acquire claims an execution slot, waiting in the bounded queue when
-// all slots are busy. It returns a release function that MUST be
-// called exactly once, or a typed refusal: ErrOverload when the queue
-// is full, the context error when the caller's deadline/cancel fires
-// while queued. The wait is condition-variable based; a context that
-// ends wakes the waiter via an AfterFunc-style watcher goroutine that
-// always terminates when Acquire returns.
-func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
-	a.mu.Lock()
-	if a.active < a.workers {
-		a.active++
-		a.mu.Unlock()
-		obsAdmitted.Inc()
-		return a.releaseFn(), nil
-	}
-	if a.waiting >= a.queue {
-		a.mu.Unlock()
-		obsAdmitRejected.Inc()
-		return nil, fmt.Errorf("%w (%d running, %d queued)", ErrOverload, a.workers, a.queue)
-	}
-	a.waiting++
-	obsQueueDepth.Set(float64(a.waiting))
-	obsAdmitted.Inc()
-
-	// Wake this waiter when the context ends. The watcher exits as soon
-	// as stop is closed, so Acquire never leaks a goroutine past its
-	// own return.
-	stop := make(chan struct{})
-	done := ctx.Done()
-	if done != nil {
-		go func() {
-			select {
-			case <-done:
-				a.mu.Lock()
-				a.cond.Broadcast()
-				a.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
-	defer close(stop)
-
-	for a.active >= a.workers {
-		if err := ctx.Err(); err != nil {
-			a.waiting--
-			obsQueueDepth.Set(float64(a.waiting))
-			a.mu.Unlock()
-			obsAdmitAbandoned.Inc()
-			return nil, err
-		}
-		a.cond.Wait()
-	}
-	a.waiting--
-	obsQueueDepth.Set(float64(a.waiting))
-	a.active++
-	a.mu.Unlock()
-	return a.releaseFn(), nil
-}
-
-// releaseFn builds the one-shot slot release.
-func (a *Admission) releaseFn() func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.mu.Lock()
-			a.active--
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		})
-	}
-}
-
-// Ticket is two-phase admission for batched execution: Enqueue claims
-// capacity without blocking (the refusal — 429 — happens at enqueue
-// time), Start blocks until an execution slot frees (the batch flush
-// promotes queued items as slots open), Done releases whatever the
-// ticket holds. The accounting is exactly Acquire's: at most `workers`
+// Ticket is two-phase admission: Enqueue claims capacity without
+// blocking (the refusal — 429 — happens at enqueue time), Start blocks
+// until an execution slot frees (queued tickets are promoted as slots
+// open), Done releases whatever the ticket holds. At most `workers`
 // tickets are started at once, at most `queue` more sit enqueued, and
 // Enqueue beyond that refuses with ErrOverload immediately.
 type Ticket struct {
@@ -176,7 +103,9 @@ func (t *Ticket) Start(ctx context.Context) error {
 	a := t.a
 	a.mu.Lock()
 
-	// Wake this waiter when the context ends, exactly as Acquire does.
+	// Wake this waiter when the context ends. The watcher exits as soon
+	// as stop is closed, so Start never leaks a goroutine past its own
+	// return.
 	stop := make(chan struct{})
 	if done := ctx.Done(); done != nil {
 		go func() {

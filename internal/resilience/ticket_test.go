@@ -102,21 +102,3 @@ func TestTicketStartImmediateWhenSlotHeld(t *testing.T) {
 		t.Fatalf("Depth = (%d, %d), want (0, 0)", act, wait)
 	}
 }
-
-func TestTicketInteroperatesWithAcquire(t *testing.T) {
-	a := NewAdmission(1, 0)
-	tk, err := a.Enqueue()
-	if err != nil {
-		t.Fatalf("Enqueue: %v", err)
-	}
-	// The ticket holds the only slot, so Acquire must refuse.
-	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrOverload) {
-		t.Fatalf("Acquire err = %v, want ErrOverload while ticket holds the slot", err)
-	}
-	tk.Done()
-	release, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatalf("Acquire after ticket Done: %v", err)
-	}
-	release()
-}

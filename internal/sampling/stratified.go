@@ -193,7 +193,7 @@ func SimProf(ph *phase.Phases, n int, seed uint64) (Stratified, error) {
 // drawing. A successful SimProfCtx is bit-for-bit SimProf — the context
 // either aborts the draw with its error or changes nothing.
 func SimProfCtx(ctx context.Context, ph *phase.Phases, n int, seed uint64) (Stratified, error) {
-	span := obs.StartSpan("sampling.simprof")
+	span := obs.StartSpan(ctx, "sampling.simprof")
 	defer span.End()
 	if err := ctx.Err(); err != nil {
 		return Stratified{}, err

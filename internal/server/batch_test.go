@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,13 +58,13 @@ func historyManifestSections(t testing.TB, baseURL string, seq int) string {
 		rec.Manifest["workload"], rec.Manifest["phases"], rec.Manifest["sampling"])
 }
 
-// TestBatchedResponsesBitIdentical: the batched path (cache +
-// coalescing + batcher) and the inline path produce byte-identical
-// response bodies and history manifests for the same request
-// sequence — batching changes scheduling, never results.
+// TestBatchedResponsesBitIdentical: the default request path (cache +
+// coalescing) and the same handler with the cache off produce
+// byte-identical response bodies and history manifests for the same
+// request sequence — deduplication changes scheduling, never results.
 func TestBatchedResponsesBitIdentical(t *testing.T) {
 	_, batched := newTestServer(t, Config{})
-	_, inline := newTestServer(t, Config{BatchSize: -1})
+	_, inline := newTestServer(t, Config{CacheEntries: -1})
 
 	traces := [][]byte{
 		encodedTrace(t, 120, 3),
@@ -79,13 +80,13 @@ func TestBatchedResponsesBitIdentical(t *testing.T) {
 				i, respB.StatusCode, respI.StatusCode, bodyB, bodyI)
 		}
 		if gotB, gotI := stripVolatile(t, bodyB), stripVolatile(t, bodyI); gotB != gotI {
-			t.Fatalf("trace %d: batched and inline bodies differ:\n%s\n%s", i, gotB, gotI)
+			t.Fatalf("trace %d: cached and uncached bodies differ:\n%s\n%s", i, gotB, gotI)
 		}
 		if respB.Header.Get("X-Simprof-Cache") != "miss" {
-			t.Fatalf("trace %d: batched header %q, want miss", i, respB.Header.Get("X-Simprof-Cache"))
+			t.Fatalf("trace %d: cached-server header %q, want miss", i, respB.Header.Get("X-Simprof-Cache"))
 		}
-		if h := respI.Header.Get("X-Simprof-Cache"); h != "" {
-			t.Fatalf("inline path set X-Simprof-Cache=%q", h)
+		if h := respI.Header.Get("X-Simprof-Cache"); h != "miss" {
+			t.Fatalf("trace %d: uncached-server header %q, want miss", i, h)
 		}
 	}
 	for seq := 1; seq <= len(traces); seq++ {
@@ -217,7 +218,7 @@ func TestCoalescedRequestsShareOneExecution(t *testing.T) {
 	go post()
 	go post()
 	waitFor(t, func() bool {
-		_, waiters, _, _ := srv.group.Stats()
+		_, waiters := srv.group.Stats()
 		return waiters == 3
 	})
 	close(gate)
@@ -285,7 +286,7 @@ func TestLeaderCancelHandsOffToFollowerHTTP(t *testing.T) {
 		followerDone <- reply2{resp.StatusCode, resp.Header.Get("X-Simprof-Cache"), body}
 	}()
 	waitFor(t, func() bool {
-		_, waiters, _, _ := srv.group.Stats()
+		_, waiters := srv.group.Stats()
 		return waiters == 2
 	})
 
@@ -300,6 +301,65 @@ func TestLeaderCancelHandsOffToFollowerHTTP(t *testing.T) {
 	}
 	if r.header != "coalesced" {
 		t.Fatalf("follower header %q, want coalesced", r.header)
+	}
+}
+
+// TestCoalescedFollowerReportsNoQueueWait: only the request whose
+// flight held the admission ticket reports a queue wait and a persist
+// time in the access log. With the one execution slot held, a leader
+// queues and an identical follower joins its flight; once the slot
+// frees, the leader's line carries the wait and the follower's reads
+// zero for both.
+func TestCoalescedFollowerReportsNoQueueWait(t *testing.T) {
+	leakCheck(t)
+	buf := &syncBuffer{}
+	srv, ts := newTestServer(t, Config{Concurrency: 1, AccessLog: buf})
+	blocker := encodedTrace(t, 100, 31)
+	shared := encodedTrace(t, 100, 32)
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	srv.profileFn = func(ctx context.Context, data []byte, n int, seed uint64) (*profileOutcome, error) {
+		if bytes.Equal(data, blocker) {
+			close(entered)
+			<-gate
+		}
+		return srv.profile(ctx, data, n, seed)
+	}
+
+	done := make(chan reply2, 3)
+	post := func(id string, data []byte) {
+		resp, body := postTraceWithID(t, ts.URL+"/v1/profile?n=10", data, id)
+		done <- reply2{resp.StatusCode, resp.Header.Get("X-Simprof-Cache"), body}
+	}
+	go post("blocker", blocker)
+	<-entered
+	go post("leader", shared)
+	waitFor(t, func() bool { flights, _ := srv.group.Stats(); return flights == 2 })
+	go post("follower", shared)
+	waitFor(t, func() bool { _, waiters := srv.group.Stats(); return waiters == 3 })
+	time.Sleep(5 * time.Millisecond) // a queue wait the leader must report
+	close(gate)
+	for i := 0; i < 3; i++ {
+		if r := <-done; r.status != http.StatusOK {
+			t.Fatalf("status %d body %s", r.status, r.body)
+		}
+	}
+	srv.Close() // flushes the access log
+
+	lines := map[string]accessEntry{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var e accessEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("access-log line %q: %v", line, err)
+		}
+		lines[e.ID] = e
+	}
+	leader, follower := lines["leader"], lines["follower"]
+	if leader.EnqueueMS <= 0 || leader.FlushMS <= 0 {
+		t.Fatalf("leader line %+v: want enqueue_ms > 0 (it queued) and flush_ms > 0 (it persisted)", leader)
+	}
+	if follower.ID != "follower" || follower.EnqueueMS != 0 || follower.FlushMS != 0 {
+		t.Fatalf("follower line %+v: want enqueue_ms == 0 and flush_ms == 0", follower)
 	}
 }
 

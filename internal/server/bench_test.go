@@ -71,10 +71,13 @@ func BenchmarkSimprofdP99(b *testing.B) {
 }
 
 // BenchmarkSimprofdStorm drives a duplicate-heavy concurrent storm —
-// the fleet-scale shape the batch layer exists for — against the
-// batched path and the inline baseline. The request schedule draws
-// from a fixed catalog of 16 distinct profile requests: a configurable
-// fraction (SIMPROF_STORM_DUP percent, default 50) targets the 4-key
+// the fleet-scale shape the dedup layer exists for — against two
+// configurations of the one profile handler: "batched" is the default
+// path (result cache + coalescing), "baseline" is the same handler with
+// CacheEntries: -1, where only concurrent identical requests share an
+// execution. The committed bench baseline keys on those two names. The
+// request schedule draws from a fixed catalog of 16 distinct profile
+// requests: a configurable fraction (SIMPROF_STORM_DUP percent, default 50) targets the 4-key
 // hot set, the rest sweep the whole catalog, so the same profiles
 // recur throughout the run the way redundant analytic workloads do.
 // Each sub-benchmark reports p99 latency as ns/op (riding the repo's
@@ -95,7 +98,7 @@ func BenchmarkSimprofdStorm(b *testing.B) {
 		// HistoryPath stays empty in both modes: fsync throughput is not
 		// what this benchmark measures.
 		{"batched", Config{Concurrency: 4, Queue: 1 << 16}},
-		{"baseline", Config{Concurrency: 4, Queue: 1 << 16, BatchSize: -1, CacheEntries: -1}},
+		{"baseline", Config{Concurrency: 4, Queue: 1 << 16, CacheEntries: -1}},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {

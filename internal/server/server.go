@@ -118,14 +118,6 @@ type Config struct {
 	// cache: every request coalesces or executes.
 	CacheEntries int
 	CacheBytes   int64
-	// BatchSize and BatchWait tune the request batcher: a batch flushes
-	// at BatchSize distinct requests (0 selects 8) or BatchWait after
-	// its first enqueue (0 selects 2ms); an idle server flushes
-	// immediately. BatchSize < 0 disables the whole batched path —
-	// requests run the pre-batching inline pipeline with no cache and
-	// no coalescing.
-	BatchSize int
-	BatchWait time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -168,14 +160,11 @@ type profileKey struct {
 	opts string   // canonical "n=<n>,seed=<seed>"
 }
 
-// profilePayload carries one upload into the batcher, including the
-// leader's request-trace collector so pipeline spans executed on a
-// flush goroutine still land in the originating request's tree.
+// profilePayload carries one upload into its flight.
 type profilePayload struct {
 	data []byte
 	n    int
 	seed uint64
-	col  *obs.Collector
 }
 
 // profileResult is the cacheable outcome of one executed profile:
@@ -199,9 +188,8 @@ type Server struct {
 	drain *resilience.Drain
 	mux   *http.ServeMux
 
-	// group is the batched request path: content-hash cache, coalescing
-	// of identical in-flight uploads, bounded batching of distinct ones.
-	// nil (BatchSize < 0) selects the inline pipeline.
+	// group is the profile request path: content-hash cache, then
+	// coalescing of identical in-flight uploads, then admission.
 	group *batch.Group[profileKey, profilePayload, profileResult]
 
 	slo         *sloTracker
@@ -253,26 +241,22 @@ func New(cfg Config) (*Server, error) {
 		}
 		traceCfg = &tc
 	}
-	if c.BatchSize >= 0 {
-		var cache *batch.Cache[profileKey, profileResult]
-		if c.CacheEntries >= 0 {
-			cache = batch.NewCache[profileKey, profileResult](c.CacheEntries, c.CacheBytes)
-		}
-		s.group = batch.NewGroup(batch.Config[profileKey, profilePayload, profileResult]{
-			MaxBatch: c.BatchSize,
-			MaxWait:  c.BatchWait,
-			Exec:     s.execProfile,
-			Size:     func(v profileResult) int64 { return v.size },
-			Cache:    cache,
-			Admit: func() (batch.Ticket, error) {
-				t, err := s.adm.Enqueue()
-				if err != nil {
-					return nil, err
-				}
-				return t, nil
-			},
-		})
+	var cache *batch.Cache[profileKey, profileResult]
+	if c.CacheEntries >= 0 {
+		cache = batch.NewCache[profileKey, profileResult](c.CacheEntries, c.CacheBytes)
 	}
+	s.group = batch.NewGroup(batch.Config[profileKey, profilePayload, profileResult]{
+		Exec:  s.execProfile,
+		Size:  func(v profileResult) int64 { return v.size },
+		Cache: cache,
+		Admit: func() (batch.Ticket, error) {
+			t, err := s.adm.Enqueue()
+			if err != nil {
+				return nil, err
+			}
+			return t, nil
+		},
+	})
 	// Background goroutines start only after every fallible step, so a
 	// failed New never leaks them.
 	if traceCfg != nil {
@@ -302,9 +286,6 @@ func (s *Server) Close() {
 	if s.stopRuntime != nil {
 		s.stopRuntime()
 	}
-	if s.group != nil {
-		s.group.Stop()
-	}
 	s.tracer.Stop()
 	s.accessLog.Close()
 }
@@ -320,7 +301,7 @@ type reqStats struct {
 	class  resilience.Class
 	bytes  int64
 
-	enqueue time.Duration // admission-queue wait
+	enqueue time.Duration // slot wait of the flight this request led (0 for hits and followers)
 	flush   time.Duration // history persist, retries included
 }
 
@@ -422,13 +403,13 @@ func (s *Server) Handler() http.Handler {
 			route:  routeOf(r.URL.Path),
 		}
 		w.Header().Set("X-Request-Id", st.id)
-		// Request tracing: the collector attaches to this goroutine, so
-		// the pipeline's ordinary StartSpan calls land in this request's
-		// tree. ServeHTTP runs the handler synchronously on this
-		// goroutine, which is what makes that safe.
-		act := s.tracer.Start(st.id, st.route, st.tenant)
+		// Request tracing: the collector rides the request context, so
+		// the pipeline's ordinary StartSpan calls under it — on this
+		// goroutine or on the flight goroutine the request leads — land
+		// in this request's tree.
+		ctx, act := s.tracer.Start(r.Context(), st.id, st.route, st.tenant)
 		sr := &statusRecorder{ResponseWriter: w}
-		s.mux.ServeHTTP(sr, r.WithContext(context.WithValue(r.Context(), reqStatsKey, st)))
+		s.mux.ServeHTTP(sr, r.WithContext(context.WithValue(ctx, reqStatsKey, st)))
 		if sr.status == 0 {
 			sr.status = http.StatusOK
 		}
@@ -531,18 +512,12 @@ type ProfileResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
-// handleProfile is the hot path. With batching on (the default) it is
-// content-hash dedup → coalesce/batch → admission-gated execution:
-// parse, read and hash the upload, then hand the key to the batch
-// group, which answers from the result cache, joins an identical
-// in-flight request, or enqueues a new flight (refusing with 429 at
-// enqueue when the admission queue is full). With BatchSize < 0 the
-// original inline pipeline runs instead.
+// handleProfile is the hot path: parse, read and hash the upload, then
+// hand the key to the batch group, which answers from the result cache,
+// joins an identical in-flight request, or admits a new flight
+// (refusing with 429 when the admission queue is full) whose goroutine
+// waits for an execution slot and runs execProfile.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if s.group == nil {
-		s.handleProfileInline(w, r)
-		return
-	}
 	start := time.Now()
 	exit, err := s.drain.Enter()
 	if err != nil {
@@ -574,23 +549,21 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := profileKey{sum: sha256.Sum256(data), opts: fmt.Sprintf("n=%d,seed=%d", n, seed)}
-	payload := profilePayload{data: data, n: n, seed: seed, col: obs.CurrentCollector()}
-	span := obs.StartSpan("batch.do")
-	v, res, err := s.group.Do(ctx, key, payload)
+	span := obs.StartSpan(ctx, "batch.do")
+	v, res, err := s.group.Do(ctx, key, profilePayload{data: data, n: n, seed: seed})
 	if span != nil {
 		span.SetAttr("source", res.Source.String())
-		span.SetAttr("batch_size", strconv.Itoa(res.BatchSize))
 		span.SetAttr("enqueue_wait_ms", strconv.FormatFloat(durMS(res.EnqueueWait), 'f', 3, 64))
 		span.SetAttr("exec_ms", strconv.FormatFloat(durMS(res.Exec), 'f', 3, 64))
-		span.SetAttr("commit_ms", strconv.FormatFloat(durMS(res.Commit), 'f', 3, 64))
 		span.End()
 	}
 	w.Header().Set("X-Simprof-Cache", res.Source.String())
-	if st != nil {
+	// Only the request whose flight held the admission ticket reports its
+	// queue wait and persist time; hits and coalesced followers waited on
+	// neither.
+	if st != nil && res.Source == batch.Miss {
 		st.enqueue = res.EnqueueWait
-		if res.Source == batch.Miss {
-			st.flush = v.flush
-		}
+		st.flush = v.flush
 	}
 	if err != nil {
 		obsProfilesErr.Inc()
@@ -603,15 +576,13 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// execProfile runs one deduplicated flight on a batch-flush goroutine:
-// breaker gate → pipeline → retried, fsynced history append. ctx is
-// the flight context (alive until the last waiting request leaves).
-// The leader's trace collector is adopted for the duration so the
-// pipeline's spans land in that request's tree.
+// execProfile runs one deduplicated flight on its own goroutine once
+// the flight holds an execution slot: breaker gate → pipeline →
+// retried, fsynced history append. ctx is the flight context (alive
+// until the last waiting request leaves); it carries the leader's trace
+// collector, so the pipeline's spans land in that request's tree.
 func (s *Server) execProfile(ctx context.Context, key profileKey, p profilePayload) (profileResult, error) {
-	release := p.col.Adopt()
-	defer release()
-	span := obs.StartSpan("batch.exec")
+	span := obs.StartSpan(ctx, "batch.exec")
 	defer span.End()
 
 	if err := s.brk.Allow(); err != nil {
@@ -653,104 +624,6 @@ func (s *Server) execProfile(ctx context.Context, key profileKey, p profilePaylo
 	// fields plus the allocation slice and key string.
 	size := int64(224 + 8*len(resp.Alloc) + len(resp.Key) + len(key.opts))
 	return profileResult{resp: resp, flush: flush, size: size}, nil
-}
-
-// handleProfileInline is the pre-batching request path (BatchSize < 0):
-// admission → breaker → deadline-bound pipeline → retried, fsynced
-// history append, all on the handler goroutine. Kept both as the
-// de-risking escape hatch and as the baseline the storm benchmark
-// measures batching against.
-func (s *Server) handleProfileInline(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	exit, err := s.drain.Enter()
-	if err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	defer exit()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	st := statsFrom(ctx)
-
-	enqStart := time.Now()
-	release, err := s.adm.Acquire(ctx)
-	if st != nil {
-		st.enqueue = time.Since(enqStart)
-	}
-	if err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	defer release()
-
-	if err := s.brk.Allow(); err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-
-	n, seed, err := sampleParams(r)
-	if err != nil {
-		s.brk.Record(false) // client error: not the pipeline's fault
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-
-	data, err := readBody(ctx, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		// A stalled or disconnected client is their failure, not the
-		// pipeline's; don't feed it to the breaker.
-		s.brk.Record(false)
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	obsBodyBytes.Add(int64(len(data)))
-	if st != nil {
-		st.bytes = int64(len(data))
-	}
-
-	out, err := s.runProfile(ctx, data, n, seed)
-	if err != nil {
-		class := resilience.Classify(err)
-		s.brk.Record(class == resilience.ClassInternal || class == resilience.ClassTimeout)
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	s.brk.Record(false)
-
-	resp := ProfileResponse{
-		Units:      len(out.Trace.Units),
-		K:          out.Ph.K,
-		Silhouette: out.Ph.Silhouette,
-		N:          n,
-		EstCPI:     out.Sp.EstCPI,
-		SE:         out.Sp.SE,
-		CILo:       out.Sp.CI(0.997).Lo(),
-		CIHi:       out.Sp.CI(0.997).Hi(),
-		Alloc:      out.Sp.Alloc,
-	}
-	flushStart := time.Now()
-	rec, err := s.persist(ctx, out, n, seed)
-	if st != nil {
-		st.flush = time.Since(flushStart)
-	}
-	if err != nil {
-		obsProfilesErr.Inc()
-		s.writeError(w, r, err)
-		return
-	}
-	if rec != nil {
-		resp.Seq, resp.Key = rec.Seq, rec.Key
-	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	obsProfilesOK.Inc()
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // sampleParams parses the n/seed query knobs.

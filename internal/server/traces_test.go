@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"simprof/internal/history"
+	"simprof/internal/obs"
 	"simprof/internal/obs/reqtrace"
 	"simprof/internal/obs/traceevent"
 )
@@ -274,5 +277,105 @@ func TestTracedProfilePersistsSpans(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("durable-1 not in persisted records (%d records)", len(recs))
+	}
+}
+
+// persistedTraceTrees runs the given profile uploads (request ID →
+// upload) concurrently against a traced server that force-keeps and
+// persists every trace, and returns each request's span tree.
+func persistedTraceTrees(t *testing.T, uploads map[string][]byte, hook func(srv *Server)) map[string]*obs.Span {
+	t.Helper()
+	storePath := filepath.Join(t.TempDir(), "traces.jsonl")
+	// Tail bound of 0.001ms: every request is tail latency, so every
+	// trace is force-kept and persisted.
+	srv, ts := newTestServer(t, Config{
+		Trace:          &reqtrace.Config{Budget: 8, BucketBoundsMS: []float64{0.001}, Seed: 5},
+		TraceStorePath: storePath,
+	})
+	if hook != nil {
+		hook(srv)
+	}
+	var wg sync.WaitGroup
+	for id, data := range uploads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postTraceWithID(t, ts.URL+"/v1/profile?n=20&seed=4", data, id)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, body %s", id, resp.StatusCode, body)
+			}
+		}()
+	}
+	wg.Wait()
+	srv.Close() // drains the persist queue
+
+	trees := map[string]*obs.Span{}
+	for _, rec := range readTraceStore(t, storePath) {
+		trees[rec.Manifest.Request.ID] = rec.Manifest.Spans
+	}
+	for id := range uploads {
+		if trees[id] == nil || trees[id].Name != "request "+id {
+			t.Fatalf("%s: persisted span tree %+v, want root %q", id, trees[id], "request "+id)
+		}
+	}
+	return trees
+}
+
+// findSpans returns every span named name in the tree.
+func findSpans(root *obs.Span, name string) []*obs.Span {
+	var out []*obs.Span
+	root.Walk(func(s *obs.Span, _ int) {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	})
+	return out
+}
+
+// TestTracedMissSpanTree: the pipeline runs on the flight goroutine,
+// yet its spans land in the leading request's tree — phase formation
+// with its clustering stage beneath it, and the stratified draw.
+func TestTracedMissSpanTree(t *testing.T) {
+	withObs(t)
+	trees := persistedTraceTrees(t, map[string][]byte{"miss-1": encodedTrace(t, 120, 3)}, nil)
+	root := trees["miss-1"]
+	forms := findSpans(root, "phase.form")
+	if len(forms) != 1 {
+		t.Fatalf("request tree holds %d phase.form spans, want 1", len(forms))
+	}
+	if len(findSpans(forms[0], "phase.cluster")) != 1 {
+		t.Fatal("phase.cluster is not beneath phase.form")
+	}
+	if len(findSpans(root, "sampling.simprof")) != 1 {
+		t.Fatal("request tree has no sampling.simprof span")
+	}
+}
+
+// TestConcurrentTracedMissesOwnTheirSpans: two traced misses whose
+// pipelines overlap in time each hold exactly their own pipeline
+// spans — no span leaks into the other request's tree.
+func TestConcurrentTracedMissesOwnTheirSpans(t *testing.T) {
+	withObs(t)
+	uploads := map[string][]byte{
+		"concurrent-a": encodedTrace(t, 120, 3),
+		"concurrent-b": encodedTrace(t, 140, 4),
+	}
+	// Hold each flight at the pipeline's door until both are there, so
+	// the two pipelines run at the same time.
+	var arrived sync.WaitGroup
+	arrived.Add(len(uploads))
+	trees := persistedTraceTrees(t, uploads, func(srv *Server) {
+		srv.profileFn = func(ctx context.Context, data []byte, n int, seed uint64) (*profileOutcome, error) {
+			arrived.Done()
+			arrived.Wait()
+			return srv.profile(ctx, data, n, seed)
+		}
+	})
+	for id, root := range trees {
+		for _, name := range []string{"batch.exec", "phase.form", "phase.cluster", "sampling.simprof"} {
+			if got := len(findSpans(root, name)); got != 1 {
+				t.Fatalf("%s: %d %s spans, want exactly its own 1", id, got, name)
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Benchmark snapshot for the performance-tracked kernels: the k sweep
-# (ChooseK), phase formation end-to-end (Form, plus the FormPhases
-# worker sweep), the naive-vs-pruned Lloyd kernel pair (KMeansDense),
+# (ChooseK), phase formation end-to-end across worker counts
+# (FormPhases), the naive-vs-pruned Lloyd kernel pair (KMeansDense),
 # sparse vectorization, SimProf's stratified selection, the telemetry
 # fast paths (disabled must stay at 0 allocs/op, enabled is the
 # instrumented cost — the labeled families and sliding windows in
@@ -17,7 +17,7 @@
 # + rebalance cost), and the simprofd service under concurrent load
 # (SimprofdP99 reports the p99 request latency as its ns/op metric so
 # the tail rides the same gate; SimprofdStorm drives a duplicate-heavy
-# storm through the batched path and the inline baseline, reporting p99
+# storm through the default path and the cache-off baseline, reporting p99
 # as ns/op plus req/s and the measured dedup ratio — the duplicate
 # fraction is tunable with SIMPROF_STORM_DUP). Results stream to
 # BENCH_pipeline.json in `go test -json` (test2json) format so CI can
@@ -31,7 +31,7 @@ BENCHTIME="${BENCHTIME:-1x}"
 BENCHCOUNT="${BENCHCOUNT:-1}"
 
 go test -run '^$' \
-	-bench '^(BenchmarkChooseK|BenchmarkForm$|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkEndToEnd100kDefault$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkAccessLog$|BenchmarkReqTrace)' \
+	-bench '^(BenchmarkChooseK|BenchmarkFormPhases|BenchmarkKMeansDense|BenchmarkVectorizeSparse$|BenchmarkSimProfSelection$|BenchmarkTelemetry|BenchmarkObsDisabledLabeled$|BenchmarkDecodeBin$|BenchmarkDecodeGob$|BenchmarkEndToEnd100k$|BenchmarkEndToEnd100kDefault$|BenchmarkSimprofdP99$|BenchmarkSimprofdStorm$|BenchmarkAccessLog$|BenchmarkReqTrace)' \
 	-benchtime "$BENCHTIME" -count "$BENCHCOUNT" -benchmem -json \
 	./internal/cluster ./internal/phase ./internal/sampling ./internal/obs ./internal/obs/reqtrace ./internal/tracebin ./internal/server \
 	>"$OUT"

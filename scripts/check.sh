@@ -43,10 +43,12 @@
 #                                            runs under -race plus the
 #                                            resilience + crash-recovery
 #                                            unit suites)
-#   batch-smoke   dedup/batch serving       (bit-identical responses
-#                                            batched vs inline and cached
+#   batch-smoke   deduplicated serving      (bit-identical responses
+#                                            cache on vs off and cached
 #                                            vs computed, coalescing and
 #                                            leader-cancel hand-off,
+#                                            follower access-log timings,
+#                                            per-request span trees,
 #                                            cache bounds/eviction, and
 #                                            the batch + two-phase
 #                                            admission unit suites; all
@@ -172,8 +174,8 @@ run_bench_gate() {
 	# Per-benchmark headroom: the sub-millisecond microbenchmarks
 	# (sparse vectorization, the naive/pruned kernel pair) are noisier
 	# than the end-to-end pipeline benches at the gate's short benchtime,
-	# so they get wider thresholds; BenchmarkForm keeps the tight default
-	# — it is the kernel-speedup acceptance gate.
+	# so they get wider thresholds; BenchmarkFormPhases/workers=1 keeps
+	# the tight default — it is the kernel-speedup acceptance gate.
 	# BenchmarkEndToEnd100k is the 100ms-budget acceptance bench: its
 	# ~80ms median leaves real headroom under the budget but the 1-CPU
 	# runner shows ~±10% spread across runs, so it gets 0.40; the two
@@ -183,9 +185,9 @@ run_bench_gate() {
 	# construction — so it gets the widest band: it is there to catch a
 	# structural tail regression (a lock on the hot path, a lost
 	# fast-path), not scheduler jitter. The SimprofdStorm pair are tail
-	# statistics of the same construction — batched is mostly cache-hit
-	# latency, baseline is compute under saturation — and share that
-	# widest band.
+	# statistics of the same construction — batched (the default path) is
+	# mostly cache-hit latency, baseline (the same handler with the cache
+	# off) is compute under saturation — and share that widest band.
 	# The single-digit-ns observability paths (disabled labeled metrics,
 	# the access-log enqueue, the disabled reqtrace Start/Finish) sit at
 	# the timer's resolution floor, so they get the wide microbenchmark
@@ -235,15 +237,17 @@ run_chaos_smoke() {
 }
 
 run_batch_smoke() {
-	# The batched-serving determinism contract under the race detector:
-	# batching/caching may change when and how often the pipeline runs,
-	# never what a request gets back. Covers the batch group + LRU cache
-	# unit suite, the two-phase admission tickets, and the HTTP-level
-	# bit-identity, coalescing, hand-off and eviction tests.
+	# The deduplicated-serving determinism contract under the race
+	# detector: caching/coalescing may change when and how often the
+	# pipeline runs, never what a request gets back. Covers the batch
+	# group + LRU cache unit suite, the two-phase admission tickets, and
+	# the HTTP-level bit-identity, coalescing (including the follower's
+	# access-log timings), hand-off and eviction tests, plus the
+	# per-request span trees built on the flight goroutine.
 	go test -race -count=1 ./internal/batch || fail batch-smoke
-	go test -race -count=1 -run 'TestTicket' ./internal/resilience || fail batch-smoke
+	go test -race -count=1 -run 'TestTicket|TestAdmissionBackpressure' ./internal/resilience || fail batch-smoke
 	go test -race -count=1 \
-		-run 'TestBatched|TestCached|TestCacheEviction|TestCoalesced|TestLeaderCancel|TestIdenticalBytes|TestMaxBodyLimit|TestChaosDuplicateStorm' \
+		-run 'TestBatched|TestCached|TestCacheEviction|TestCoalesced|TestLeaderCancel|TestIdenticalBytes|TestMaxBodyLimit|TestChaosDuplicateStorm|TestCoalescedFollowerReportsNoQueueWait|TestTracedMissSpanTree|TestConcurrentTracedMisses' \
 		./internal/server || fail batch-smoke
 }
 
