@@ -83,6 +83,21 @@ func benchChooseK(b *testing.B, workers int) {
 func BenchmarkChooseKSerial_1000x100(b *testing.B)   { benchChooseK(b, 1) }
 func BenchmarkChooseKParallel_1000x100(b *testing.B) { benchChooseK(b, 0) }
 
+// BenchmarkChooseKDense_4096x100 is the sweep at the shape a sampled
+// profile runs it: the 4096-row subsample of 100 selected dimensions,
+// default options (k ∈ [1,20], 4 restarts), the default pool. At the
+// cap the sweep is exact, so this is the whole k-selection cost of a
+// large profile short of the one all-rows refine.
+func BenchmarkChooseKDense_4096x100(b *testing.B) {
+	pts := matrix.FromRows(benchPoints(sweepSampleRows, 100, 6, 2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ChooseKDense(pts, ChooseKOptions{KMeans: Options{Seed: uint64(i)}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSilhouetteExactVsSimplified quantifies why phase formation
 // uses the centroid-based silhouette: the exact form is O(n²·d).
 func BenchmarkSilhouetteExact(b *testing.B) {

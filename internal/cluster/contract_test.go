@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"simprof/internal/cluster"
+	"simprof/internal/matrix"
 	"simprof/internal/phase"
 	"simprof/internal/sampling"
 	"simprof/internal/synth"
@@ -23,6 +24,51 @@ func (q *estimateQuality) rms() float64 { return math.Sqrt(q.sq / float64(q.draw
 
 func (q *estimateQuality) missRate() float64 { return float64(q.miss) / float64(q.draws) }
 
+const (
+	contractUnits = 12_000 // above the sweep's subsample cap
+	contractN     = 20     // the service's default sample size
+	contractDraws = 200    // SimProf draws per formed trace
+	contractLevel = 0.997
+)
+
+// add pools contractDraws SimProf draws on ph against the oracle CPI.
+func (q *estimateQuality) add(t *testing.T, ph *phase.Phases, oracle float64) {
+	t.Helper()
+	q.ks = append(q.ks, ph.K)
+	for j := 1; j <= contractDraws; j++ {
+		sp, err := sampling.SimProf(ph, contractN, uint64(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := (sp.EstCPI - oracle) / oracle
+		q.sq += e * e
+		if ci := sp.CI(contractLevel); !ci.Contains(oracle) {
+			q.miss++
+		}
+		q.draws++
+	}
+}
+
+// checkNoWorse fails t unless got's estimates are as good as ref's: RMS
+// relative error within 1.25× and a CI miss rate no higher than ref's
+// plus three binomial standard deviations (around the larger of ref's
+// miss rate and the nominal rate) and one draw of slack.
+func checkNoWorse(t *testing.T, got, ref *estimateQuality, gotName, refName string) {
+	t.Helper()
+	t.Logf("%s: k %v, rms err %.3f%%, CI misses %d/%d", gotName, got.ks, 100*got.rms(), got.miss, got.draws)
+	t.Logf("%s: k %v, rms err %.3f%%, CI misses %d/%d", refName, ref.ks, 100*ref.rms(), ref.miss, ref.draws)
+	if got.rms() > 1.25*ref.rms() {
+		t.Errorf("%s rms error %.3f%% exceeds 1.25 × the %s's %.3f%%",
+			gotName, 100*got.rms(), refName, 100*ref.rms())
+	}
+	p := math.Max(ref.missRate(), 1-contractLevel)
+	tol := 3*math.Sqrt(p*(1-p)/float64(got.draws)) + 1/float64(got.draws)
+	if got.missRate() > ref.missRate()+tol {
+		t.Errorf("%s CI miss rate %.2f%% exceeds the %s's %.2f%% + %.2f%% tolerance",
+			gotName, 100*got.missRate(), refName, 100*ref.missRate(), 100*tol)
+	}
+}
+
 // TestSampledFormationEstimateContract is the statistical contract that
 // replaces bit-identity above the sweep's subsample cap: on traces large
 // enough to take the sampled path, the estimates drawn from sampled
@@ -35,58 +81,62 @@ func TestSampledFormationEstimateContract(t *testing.T) {
 	// A statistical gate on sequential results: it has nothing for the
 	// race detector to find that the worker-sweep tests do not cover,
 	// and under it the six 12k-unit formations take minutes.
-	if testing.Short() || raceEnabled {
+	if testing.Short() || cluster.RaceEnabled {
 		t.Skip("forms 3 traces of 12k units twice; skipped in -short and under -race")
 	}
-	const (
-		units = 12_000
-		n     = 20  // the service's default sample size
-		draws = 200 // SimProf draws per formed trace
-		level = 0.997
-	)
 	var sampled, exact estimateQuality
 	for _, seed := range []uint64{1, 2, 3} {
-		tr, err := synth.DefaultTrace(units, seed).Generate()
+		tr, err := synth.DefaultTrace(contractUnits, seed).Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := tr.OracleCPI()
 		form := func(q *estimateQuality) {
 			ph, err := phase.Form(tr, phase.Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			q.ks = append(q.ks, ph.K)
-			for j := 1; j <= draws; j++ {
-				sp, err := sampling.SimProf(ph, n, uint64(j))
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := (sp.EstCPI - oracle) / oracle
-				q.sq += e * e
-				if ci := sp.CI(level); !ci.Contains(oracle) {
-					q.miss++
-				}
-				q.draws++
-			}
+			q.add(t, ph, tr.OracleCPI())
 		}
 		form(&sampled)
 		restore := cluster.ForceExactSweep()
 		form(&exact)
 		restore()
 	}
-	t.Logf("sampled: k %v, rms err %.3f%%, CI misses %d/%d", sampled.ks, 100*sampled.rms(), sampled.miss, sampled.draws)
-	t.Logf("exact:   k %v, rms err %.3f%%, CI misses %d/%d", exact.ks, 100*exact.rms(), exact.miss, exact.draws)
-	if sampled.rms() > 1.25*exact.rms() {
-		t.Errorf("sampled formation rms error %.3f%% exceeds 1.25 × the exact path's %.3f%%",
-			100*sampled.rms(), 100*exact.rms())
+	checkNoWorse(t, &sampled, &exact, "sampled formation", "exact path")
+}
+
+// TestChainedSweepEstimateContract is the statistical half of the
+// chained sweep's contract: phases formed by the sweep that shares one
+// k-means++ chain across k must estimate as well as phases formed by
+// the independent-seed sweep it replaced (cluster.IndependentSeedSweep,
+// on the same selected vectors, the same subsample and the same refine).
+func TestChainedSweepEstimateContract(t *testing.T) {
+	if testing.Short() || cluster.RaceEnabled {
+		t.Skip("forms 3 traces of 12k units and re-sweeps them; skipped in -short and under -race")
 	}
-	// Three binomial standard deviations around the larger of the exact
-	// path's miss rate and the nominal 0.3%, plus one draw of slack.
-	p := math.Max(exact.missRate(), 1-level)
-	tol := 3*math.Sqrt(p*(1-p)/float64(sampled.draws)) + 1/float64(sampled.draws)
-	if sampled.missRate() > exact.missRate()+tol {
-		t.Errorf("sampled formation CI miss rate %.2f%% exceeds the exact path's %.2f%% + %.2f%% tolerance",
-			100*sampled.missRate(), 100*exact.missRate(), 100*tol)
+	var chain, ref estimateQuality
+	for _, seed := range []uint64{1, 2, 3} {
+		tr, err := synth.DefaultTrace(contractUnits, seed).Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := tr.OracleCPI()
+		ph, err := phase.Form(tr, phase.Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ph.DegradedFraction() != 0 {
+			t.Fatalf("seed %d: trace has degraded units; the reference re-sweep assumes every unit trains", seed)
+		}
+		chain.add(t, ph, oracle)
+		sel, err := cluster.IndependentSeedSweep(matrix.FromRows(ph.Vectors),
+			cluster.ChooseKOptions{MaxK: 20, KMeans: cluster.Options{Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refPh := &phase.Phases{Trace: tr, Space: ph.Space, Vectors: ph.Vectors, K: sel.K,
+			Assign: sel.Best.Assign, Centers: sel.Best.Centers}
+		ref.add(t, refPh, oracle)
 	}
+	checkNoWorse(t, &chain, &ref, "chained sweep", "independent-seed sweep")
 }

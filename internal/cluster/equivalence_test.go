@@ -212,11 +212,11 @@ func TestSeedingPickSequencePreserved(t *testing.T) {
 		pn2, pnr := pointNorms(pts)
 		eng := parallel.New(1)
 		rngA := stats.NewRNG(seed)
-		refCenters := seedPlusPlus(rows, k, rngA, eng)
+		refCenters := seedPlusPlus(rows, k, rngA, eng, nil)
 		rngB := stats.NewRNG(seed)
 		sc := newLloydScratch(n, k, 6)
 		var st distStats
-		denseCenters := seedPlusPlusDense(pts, pn2, pnr, k, rngB, eng, sc, &st)
+		denseCenters := seedPlusPlusDense(pts, pn2, pnr, k, rngB, eng, sc, &st, nil)
 		for c := range refCenters {
 			if !reflect.DeepEqual(refCenters[c], denseCenters.Row(c)) {
 				return false

@@ -17,8 +17,8 @@
 // bit-for-bit identical for any worker count: point loops run over a
 // fixed chunk grid with per-chunk partial sums merged in chunk index
 // order, restarts draw from pre-derived PCG seeds and are compared in
-// restart index order, and the k sweep writes each k's outcome into its
-// own slot.
+// restart index order, and the k sweep keeps, for each k, the lowest
+// (inertia, restart index) over its restart chains.
 package cluster
 
 import (
@@ -268,9 +268,9 @@ func kMeansDenseWith(eng *parallel.Engine, pts *matrix.Dense, pn2, pnr []float64
 }
 
 // lloydScratch holds the per-chunk accumulators and per-point state of
-// one Lloyd run. Runs borrow it from a pool (getScratch/putScratch), so
-// the 4-restart × 19-k sweep of phase formation reuses a handful of
-// buffers instead of reallocating per restart.
+// one seeding and Lloyd run. Runs borrow it from a pool
+// (getScratch/putScratch); each restart chain of the k sweep holds one
+// for all its k's (see setK).
 type lloydScratch struct {
 	chunks   int
 	sizes    [][]int     // chunk → cluster → count
@@ -324,11 +324,9 @@ func (s *lloydScratch) ensure(n, k, d int) {
 		if cap(s.sizes[c]) < k {
 			s.sizes[c] = make([]int, k)
 		}
-		s.sizes[c] = s.sizes[c][:k]
 		if cap(s.sums[c]) < k*d {
 			s.sums[c] = make([]float64, k*d)
 		}
-		s.sums[c] = s.sums[c][:k*d]
 	}
 	if cap(s.lb2) < n {
 		s.lb2 = make([]float64, n)
@@ -356,19 +354,33 @@ func (s *lloydScratch) ensure(n, k, d int) {
 		s.mult = make([]int32, k)
 		s.touched = make([]int32, k)
 	}
-	s.cn2 = s.cn2[:k]
-	s.cnr = s.cnr[:k]
 	s.dPrev = s.dPrev[:k]
 	s.qSkip = s.qSkip[:k]
 	s.qB = s.qB[:k]
-	s.dup = s.dup[:k]
-	s.reps = s.reps[:k]
-	s.mult = s.mult[:k]
 	s.touched = s.touched[:k]
 	if cap(s.ccd) < k*k {
 		s.ccd = make([]float64, k*k)
 		s.qcc = make([]float64, k*k)
 	}
+	s.setK(k, d)
+}
+
+// setK reslices the Lloyd side of the scratch (per-chunk sizes and
+// sums, the center geometry tables) to k centers, within the capacity
+// ensure reserved. A k sweep's chain sizes its scratch once for the
+// largest k and runs the Lloyd of every smaller k on the same buffers;
+// the seeding side (d2, seedArg, sq2, partial and the per-pick tables)
+// is left untouched, so the chain can continue after each Lloyd.
+func (s *lloydScratch) setK(k, d int) {
+	for c := 0; c < s.chunks; c++ {
+		s.sizes[c] = s.sizes[c][:k]
+		s.sums[c] = s.sums[c][:k*d]
+	}
+	s.cn2 = s.cn2[:k]
+	s.cnr = s.cnr[:k]
+	s.dup = s.dup[:k]
+	s.reps = s.reps[:k]
+	s.mult = s.mult[:k]
 	s.ccd = s.ccd[:k*k]
 	s.qcc = s.qcc[:k*k]
 }
@@ -419,6 +431,7 @@ func assignPoints(eng *parallel.Engine, points [][]float64, centers [][]float64,
 			inertia += dist
 			if accumulate {
 				row := sums[ci*d : ci*d+d]
+				row = row[:len(p)] // bounds-check elimination
 				for j, v := range p {
 					row[j] += v
 				}
@@ -439,12 +452,21 @@ func assignPoints(eng *parallel.Engine, points [][]float64, centers [][]float64,
 	return inertia
 }
 
-// lloyd is the retained naive reference kernel: plain Lloyd over
-// [][]float64 rows, every point–center distance computed every pass.
-// The equivalence suite asserts lloydPruned reproduces it bit-for-bit.
+// lloyd is the retained naive reference kernel: k-means++ seeding, then
+// plain Lloyd over [][]float64 rows, every point–center distance
+// computed every pass. The equivalence suite asserts lloydPruned
+// reproduces it bit-for-bit.
 func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.Engine) Result {
-	n, d := len(points), len(points[0])
-	centers := seedPlusPlus(points, k, rng, eng)
+	res := lloydNaiveFrom(points, seedPlusPlus(points, k, rng, eng, nil), o, eng)
+	obsRestarts.Inc()
+	obsLloydIters.Observe(float64(res.Iters))
+	return res
+}
+
+// lloydNaiveFrom iterates the naive kernel from the given centers, which
+// it takes ownership of.
+func lloydNaiveFrom(points [][]float64, centers [][]float64, o Options, eng *parallel.Engine) Result {
+	n, d, k := len(points), len(points[0]), len(centers)
 	assign := make([]int, n)
 	sizes := make([]int, k)
 	sc := newLloydScratch(n, k, d)
@@ -471,8 +493,8 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.E
 		for c := 0; c < sc.chunks; c++ {
 			sums := sc.sums[c]
 			for cl := 0; cl < k; cl++ {
-				row := next[cl]
 				part := sums[cl*d : cl*d+d]
+				row := next[cl][:len(part)] // bounds-check elimination
 				for j, v := range part {
 					row[j] += v
 				}
@@ -506,8 +528,6 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, o Options, eng *parallel.E
 	// Final assignment pass so Assign/Sizes/Inertia are consistent with
 	// the returned (post-update) centers.
 	inertia = assignPoints(eng, points, centers, assign, sizes, sc, false)
-	obsRestarts.Inc()
-	obsLloydIters.Observe(float64(iter + 1))
 	if !math.IsInf(prev, 1) {
 		obsConvergenceDelta.Observe(math.Abs(prev - inertia))
 	}
@@ -536,7 +556,7 @@ func lloydPruned(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
 	o Options, eng *parallel.Engine, st *distStats) Result {
 	sc := getScratch(pts.Rows(), k, pts.Cols())
 	defer putScratch(sc)
-	centers := seedPlusPlusDense(pts, pn2, pnr, k, rng, eng, sc, st)
+	centers := seedPlusPlusDense(pts, pn2, pnr, k, rng, eng, sc, st, nil)
 	res := lloydFrom(pts, pn2, pnr, centers, true, o, eng, sc, st)
 	obsRestarts.Inc()
 	obsLloydIters.Observe(float64(res.Iters))
@@ -692,6 +712,7 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, centers *matrix.Dense, see
 					if accumulate {
 						p := pdata[i*d : i*d+d]
 						row := sums[ci*d : ci*d+d]
+						row = row[:len(p)] // bounds-check elimination
 						for j, v := range p {
 							row[j] += v
 						}
@@ -805,6 +826,7 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, centers *matrix.Dense, see
 				inertia += dist2[i]
 				if accumulate {
 					row := sums[ci*d : ci*d+d]
+					row = row[:len(p)] // bounds-check elimination
 					for j, v := range p {
 						row[j] += v
 					}
@@ -902,11 +924,21 @@ func lloydFrom(pts *matrix.Dense, pn2, pnr []float64, centers *matrix.Dense, see
 // update is chunked on the engine; the weighted draw itself stays
 // sequential because each pick feeds the next. This is the naive
 // reference; the production path is seedPlusPlusDense.
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engine) [][]float64 {
+//
+// prefix, when non-nil, is the k sweep's per-prefix hook: it is called
+// with j and the centers picked so far as soon as the j-th center is
+// picked, for j = 1..k, and returning false ends the seeding early. The
+// first j picks of a k-center seeding consume the RNG exactly as a
+// j-center seeding does, so centers[:j] is the j-center seeding.
+func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engine,
+	prefix func(j int, centers [][]float64) bool) [][]float64 {
 	n := len(points)
 	centers := make([][]float64, 0, k)
 	first := rng.IntN(n)
 	centers = append(centers, append([]float64(nil), points[first]...))
+	if prefix != nil && !prefix(1, centers) {
+		return centers
+	}
 	d2 := make([]float64, n)
 	chunks := parallel.Chunks(n, pointChunk)
 	partial := make([]float64, chunks)
@@ -939,6 +971,9 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engin
 			pick = drawLinear(d2, rng.Float64()*total)
 		}
 		centers = append(centers, append([]float64(nil), points[pick]...))
+		if prefix != nil && !prefix(len(centers), centers) {
+			return centers
+		}
 		if len(centers) < k {
 			total = relax(centers[len(centers)-1])
 		}
@@ -952,8 +987,17 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, eng *parallel.Engin
 // points whose cached-norm bound proves the new center cannot lower
 // their D² weight, and each draw resolves through the chunk partial
 // sums instead of a full O(n) scan.
+//
+// prefix, when non-nil, is called with j and the centers matrix (rows
+// 0..j−1 picked) as soon as the j-th center has been relaxed, for
+// j = 1..k; returning false ends the seeding early. At that point the
+// scratch's handover state (seedArg, d2, sq2) is exactly that of a
+// j-center seeding, so the hook may run lloydFrom(seeded) for j on the
+// same scratch after setK(j, d): the Lloyd run touches only the Lloyd
+// side of the scratch, and the chain continues from unchanged state.
 func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.Rand,
-	eng *parallel.Engine, sc *lloydScratch, st *distStats) *matrix.Dense {
+	eng *parallel.Engine, sc *lloydScratch, st *distStats,
+	prefix func(j int, centers *matrix.Dense) bool) *matrix.Dense {
 	n, d := pts.Rows(), pts.Cols()
 	centers := matrix.NewDense(k, d)
 	first := rng.IntN(n)
@@ -1099,6 +1143,9 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 		sq2[i] = math.Inf(1)
 	}
 	total := relax(0, 0)
+	if prefix != nil && !prefix(1, centers) {
+		return centers
+	}
 	for count := 1; count < k; count++ {
 		var pick int
 		if total == 0 {
@@ -1112,6 +1159,9 @@ func seedPlusPlusDense(pts *matrix.Dense, pn2, pnr []float64, k int, rng *rand.R
 		// last center too completes the handover state. Draws and RNG
 		// consumption are unaffected.
 		total = relax(count, total)
+		if prefix != nil && !prefix(count+1, centers) {
+			break
+		}
 	}
 	return centers
 }

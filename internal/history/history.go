@@ -15,6 +15,7 @@ package history
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -102,38 +103,107 @@ func (s *Store) Path() string { return s.path }
 // of corrupt/truncated lines skipped (non-zero only after a torn write
 // or manual editing; the data that is there still loads).
 func (s *Store) Records() (recs []*Record, skipped int, err error) {
+	err = s.scanForward(func(line []byte) bool {
+		if r, ok := decodeRecord(line); ok {
+			recs = append(recs, r)
+		} else {
+			skipped++
+		}
+		return true
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return recs, skipped, nil
+}
+
+// scanForward calls fn on every non-blank line of the store, trimmed,
+// in append order, until fn returns false. An absent store has no
+// lines.
+func (s *Store) scanForward(fn func(line []byte) bool) error {
 	f, err := os.Open(s.path)
 	if os.IsNotExist(err) {
-		return nil, 0, nil
+		return nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("history: open %s: %w", s.path, err)
+		return fmt.Errorf("history: open %s: %w", s.path, err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) > 0 && !fn(line) {
+			return nil
 		}
-		var r Record
-		if json.Unmarshal([]byte(line), &r) != nil {
-			skipped++
-			continue
-		}
-		recs = append(recs, &r)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("history: read %s: %w", s.path, err)
+		return fmt.Errorf("history: read %s: %w", s.path, err)
 	}
-	return recs, skipped, nil
+	return nil
 }
 
 // Get returns the record with the given Seq, or the last record when
 // seq is 0. Negative seq counts from the end (-1 = last, -2 = one
-// before it).
+// before it). Lines count as records exactly as in Records. A positive
+// seq scans forward decoding only each line's seq and fully decodes
+// just the match; zero and negative seqs decode backwards from the end
+// of the file only as far as the record asked for.
 func (s *Store) Get(seq int) (*Record, error) {
+	if seq > 0 {
+		return s.getSeq(seq)
+	}
+	if seq == 0 {
+		seq = -1
+	}
+	var found *Record
+	count := 0
+	err := s.scanBackward(func(line []byte) bool {
+		r, ok := decodeRecord(line)
+		if !ok {
+			return true
+		}
+		count++
+		if count == -seq {
+			found = r
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	if found != nil {
+		return found, nil
+	}
+	if count == 0 {
+		return nil, fmt.Errorf("history: store %s is empty", s.path)
+	}
+	return nil, fmt.Errorf("history: store has %d records, no record %d from the end", count, -seq)
+}
+
+// getSeq is Get for a positive seq: the first record in append order
+// whose Seq matches.
+func (s *Store) getSeq(seq int) (*Record, error) {
+	var found *Record
+	err := s.scanForward(func(line []byte) bool {
+		// A line that does not decode into its seq alone cannot decode
+		// into a Record either; one that does may still fail the full
+		// decode, and then it is skipped just as Records skips it.
+		var head struct {
+			Seq int `json:"seq"`
+		}
+		if json.Unmarshal(line, &head) != nil || head.Seq != seq {
+			return true
+		}
+		found, _ = decodeRecord(line)
+		return found == nil
+	})
+	if err != nil || found != nil {
+		return found, err
+	}
+	// Not found: the error names the record count, which only a full
+	// decode can give.
 	recs, _, err := s.Records()
 	if err != nil {
 		return nil, err
@@ -141,36 +211,96 @@ func (s *Store) Get(seq int) (*Record, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("history: store %s is empty", s.path)
 	}
-	if seq == 0 {
-		seq = -1
-	}
-	if seq < 0 {
-		i := len(recs) + seq
-		if i < 0 {
-			return nil, fmt.Errorf("history: store has %d records, no record %d from the end", len(recs), -seq)
-		}
-		return recs[i], nil
-	}
-	for _, r := range recs {
-		if r.Seq == seq {
-			return r, nil
-		}
-	}
 	return nil, fmt.Errorf("history: no record with seq %d (store has %d records)", seq, len(recs))
 }
 
+// decodeRecord parses one store line the way Records does: blank lines
+// and lines that do not unmarshal into a Record are not records.
+func decodeRecord(line []byte) (*Record, bool) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return nil, false
+	}
+	var r Record
+	if json.Unmarshal(line, &r) != nil {
+		return nil, false
+	}
+	return &r, true
+}
+
+// tailWindow is the first read of a backward scan; each further read
+// doubles it, so a scan costs O(bytes examined) however long the lines.
+const tailWindow = 64 << 10
+
+// scanBackward calls fn on every line of the store, last line first,
+// until fn returns false. It reads the file backwards from the end in
+// growing windows, so a caller that stops at the last few lines never
+// reads the rest. An unterminated final line (a torn append) is a line
+// too, as it is for Records. An absent store has no lines.
+func (s *Store) scanBackward(fn func(line []byte) bool) error {
+	f, err := os.Open(s.path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("history: open %s: %w", s.path, err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("history: stat %s: %w", s.path, err)
+	}
+	// pending holds the file's bytes [lo, hi), where hi is the start of
+	// the earliest line already handed to fn.
+	var pending []byte
+	lo := st.Size()
+	window := int64(tailWindow)
+	for {
+		for {
+			nl := bytes.LastIndexByte(pending, '\n')
+			if nl < 0 && lo > 0 {
+				break // the line may start before lo: read more
+			}
+			if !fn(pending[nl+1:]) || nl < 0 {
+				return nil
+			}
+			pending = pending[:nl]
+		}
+		n := min(window, lo)
+		buf := make([]byte, n+int64(len(pending)))
+		if _, err := f.ReadAt(buf[:n], lo-n); err != nil {
+			return fmt.Errorf("history: read %s: %w", s.path, err)
+		}
+		copy(buf[n:], pending)
+		pending, lo = buf, lo-n
+		window *= 2
+	}
+}
+
+// lastSeq is the highest Seq in the store, as a scan of Records would
+// find it: Append only ever writes max+1 at the end, so the last line
+// that decodes as a Record with a positive Seq holds the maximum. Lines
+// with Seq ≤ 0 (valid JSON that is not a real record) cannot raise the
+// maximum above 0 and are passed over. It is 0 for an empty store.
+func (s *Store) lastSeq() (int, error) {
+	last := 0
+	err := s.scanBackward(func(line []byte) bool {
+		if r, ok := decodeRecord(line); ok && r.Seq > 0 {
+			last = r.Seq
+			return false
+		}
+		return true
+	})
+	return last, err
+}
+
 // Append assigns the record's Seq (and Time, if unset) and appends it
-// as one JSON line. The record is returned for convenience.
+// as one JSON line. The record is returned for convenience. Finding the
+// next Seq reads the store backwards only as far as its last record.
 func (s *Store) Append(r *Record) (*Record, error) {
-	recs, _, err := s.Records()
+	maxSeq, err := s.lastSeq()
 	if err != nil {
 		return nil, err
-	}
-	maxSeq := 0
-	for _, old := range recs {
-		if old.Seq > maxSeq {
-			maxSeq = old.Seq
-		}
 	}
 	r.Seq = maxSeq + 1
 	if r.Time == "" {

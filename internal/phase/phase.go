@@ -47,11 +47,14 @@ type Options struct {
 	MaxPhases           int     // k sweep upper bound (paper: 20)
 	SilhouetteThreshold float64 // fraction of best silhouette accepted (default 0.93)
 	Seed                uint64
-	// Restarts and MaxIter bound the k-means work per swept k. Zero
+	// Restarts and MaxIter bound the k-means work of the k sweep. Zero
 	// selects the clustering defaults (4 restarts, 100 iterations),
-	// which reproduce the paper's runs. Above 4096 units the sweep runs
-	// on a 4096-unit subsample (cluster.ChooseKDense), so its cost no
-	// longer grows with the trace's length.
+	// which reproduce the paper's runs. Each restart is one k-means++
+	// seeding chain shared by every swept k, so the phases at k are
+	// cluster.KMeansDense at k with Seed, Restarts and MaxIter. Above
+	// 4096 units the sweep runs on a 4096-unit subsample
+	// (cluster.ChooseKDense), so its cost no longer grows with the
+	// trace's length.
 	Restarts int
 	MaxIter  int
 	// Workers bounds the concurrency of the whole formation pipeline

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Benchmark snapshot for the performance-tracked kernels: the k sweep
-# (ChooseK), phase formation end-to-end across worker counts
+# (ChooseK, including ChooseKDense_4096x100 at the shape a sampled
+# profile sweeps), phase formation end-to-end across worker counts
 # (FormPhases), the naive-vs-pruned Lloyd kernel pair (KMeansDense),
 # sparse vectorization, SimProf's stratified selection, the telemetry
 # fast paths (disabled must stay at 0 allocs/op, enabled is the

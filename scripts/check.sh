@@ -32,7 +32,12 @@
 #                                            run twice to shake out
 #                                            scratch-pool reuse; the
 #                                            subsampled k sweep's
-#                                            statistical contract; phase
+#                                            statistical contract; every
+#                                            swept k of the chained sweep
+#                                            is KMeansDense at the base
+#                                            seed, and the chain agrees
+#                                            with the independent-seed
+#                                            sweep it replaced; phase
 #                                            formation on a decoded bin
 #                                            trace must be bit-identical
 #                                            at workers 1/2/8)
@@ -213,6 +218,16 @@ run_kernel_equivalence() {
 	# estimates from sampled phase formation must match the exact path's
 	# error and CI coverage.
 	go test -run 'TestSampledSweep|TestSweepAtOrBelowCap|TestRefineNeverRaisesInertia|TestSampledFormationEstimateContract' \
+		-count=1 ./internal/cluster || fail kernel-equivalence
+	# The k sweep shares one k-means++ chain per restart across every k:
+	# each swept k must be KMeansDense at the base seed bit for bit
+	# (workers 1/2/8, naive and pruned chains alike, run twice for the
+	# scratch pool), the chain must cancel cleanly, and it must agree
+	# with the independent-seed sweep it replaced (same k and ARI ≥ 0.99
+	# on blobs; estimate error and CI misses on synth traces).
+	go test -run 'TestChainPrefixMatchesKMeansDense|TestChooseKBestIsKMeansDense|TestChainNaiveMatchesPruned|TestChooseKCanceledMidChain' \
+		-count=2 ./internal/cluster || fail kernel-equivalence
+	go test -run 'TestChainMatchesIndependentSeedSweep|TestChainedSweepEstimateContract' \
 		-count=1 ./internal/cluster || fail kernel-equivalence
 	# The chunk-parallel TopK projection inside phase.Form must produce
 	# bit-identical phases at any worker count, on both the gob and the
